@@ -36,7 +36,6 @@ from .observables import (
 from .operators import (
     DensityMatrix,
     HilbertSpec,
-    QuantumOperator,
     embed,
     fock_annihilation,
     partial_trace,
@@ -67,7 +66,6 @@ __all__ = [
     "Liouvillian",
     "ModelParams",
     "OptimalConditions",
-    "QuantumOperator",
     "SweepRecord",
     "SweepSpec",
     "amplitudes_for",

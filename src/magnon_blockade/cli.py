@@ -161,15 +161,14 @@ def _emit_records(records, output: str | None) -> int:
 
 
 def cmd_steady_g2(args) -> int:
-    from .observables import blockade_metrics
+    from .observables import blockade_metrics, g2_zero_delay
     from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
-    from .observables import g2_zero_delay
 
     p = _collect_params(args)
     if args.converge:
-        _, n_used = converge_truncation(p, g2_zero_delay)
-        p = p.with_(fock_cutoff=n_used)
-    rho = solve_steady_state(build_liouvillian(p))
+        rho = converge_truncation(p, g2_zero_delay)
+    else:
+        rho = solve_steady_state(build_liouvillian(p))
     m = blockade_metrics(rho)
     print(f"g2 = {m.g2_zero:.6e}")
     print(f"log10_g2 = {math.log10(m.g2_zero):.4f}" if m.g2_zero > 0 else "log10_g2 = -inf")

@@ -8,17 +8,13 @@ enters the numerics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (
-    HilbertSpec,
-    QuantumOperator,
-    mode_annihilation,
-    qubit_sigma_minus,
-)
+from .operators import HilbertSpec, mode_annihilation, qubit_sigma_minus
 
 #: Minimum |detuning| / coupling ratio for the dispersive elimination to be trusted.
 DISPERSIVE_RATIO_MIN = 5.0
@@ -45,6 +41,9 @@ class ModelParams:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
+        for name in ("delta", "coupling", "probe_rabi", "drive_rabi", "phase", "decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.decay <= 0:
             raise ValueError("decay must be positive (no steady state otherwise)")
         if self.coupling < 0 or self.probe_rabi < 0 or self.drive_rabi < 0:
@@ -66,38 +65,42 @@ def _check_spec(p: ModelParams, spec: HilbertSpec):
         )
 
 
-def build_effective_hamiltonian(p: ModelParams, spec: HilbertSpec) -> QuantumOperator:
+def build_effective_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven qubit + N-mode system."""
     _check_spec(p, spec)
-    sm = qubit_sigma_minus(spec).matrix
+    sm = qubit_sigma_minus(spec)
     sp = sm.conj().T
     h = p.delta * (sp @ sm)
     drive_phase = np.exp(-1j * p.phase)
     h = h + p.probe_rabi * (drive_phase * sp + np.conj(drive_phase) * sm)
     for j in range(1, p.n_modes + 1):
-        m = mode_annihilation(j, spec).matrix
+        m = mode_annihilation(j, spec)
         md = m.conj().T
         h = h + p.delta * (md @ m)
         h = h + p.coupling * (m @ sp + md @ sm)
         h = h + p.drive_rabi * (md + m)
-    return QuantumOperator(h, spec)
+    return h
 
 
-def build_nonhermitian_hamiltonian(p: ModelParams, spec: HilbertSpec) -> QuantumOperator:
-    """Effective Hamiltonian minus i kappa/2 times the total excitation number."""
-    _check_spec(p, spec)
-    h = build_effective_hamiltonian(p, spec).matrix
-    sm = qubit_sigma_minus(spec).matrix
+def excitation_number(spec: HilbertSpec) -> np.ndarray:
+    """Total excitation number: qubit population plus every mode occupation."""
+    sm = qubit_sigma_minus(spec)
     number = sm.conj().T @ sm
-    for j in range(1, p.n_modes + 1):
-        m = mode_annihilation(j, spec).matrix
+    for j in range(1, spec.n_modes + 1):
+        m = mode_annihilation(j, spec)
         number = number + m.conj().T @ m
-    return QuantumOperator(h - 0.5j * p.decay * number, spec)
+    return number
+
+
+def build_nonhermitian_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
+    """Effective Hamiltonian minus i kappa/2 times the total excitation number."""
+    h = build_effective_hamiltonian(p, spec)
+    return h - 0.5j * p.decay * excitation_number(spec)
 
 
 def build_dissipators(
     p: ModelParams, spec: HilbertSpec
-) -> list[tuple[QuantumOperator, float]]:
+) -> list[tuple[np.ndarray, float]]:
     """Collapse channels: (sigma_minus, kappa) and one (m_j, kappa) per mode."""
     _check_spec(p, spec)
     channels = [(qubit_sigma_minus(spec), p.decay)]
@@ -228,12 +231,7 @@ def single_excitation_energies(p: ModelParams) -> np.ndarray:
     spec = p.hilbert_spec(fock_cutoff=1)
     h = build_effective_hamiltonian(
         p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1), spec
-    ).matrix
-    sm = qubit_sigma_minus(spec).matrix
-    number = sm.conj().T @ sm
-    for j in range(1, p.n_modes + 1):
-        m = mode_annihilation(j, spec).matrix
-        number = number + m.conj().T @ m
-    one = np.isclose(np.diag(number).real, 1.0)
+    )
+    one = np.isclose(np.diag(excitation_number(spec)).real, 1.0)
     block = h[np.ix_(one, one)]
     return np.linalg.eigvalsh(block)

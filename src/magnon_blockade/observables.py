@@ -24,7 +24,7 @@ class UndefinedCorrelationError(ValueError):
 
 
 def mode_occupation(rho: DensityMatrix, mode: int = 1) -> float:
-    m = mode_annihilation(mode, rho.spec).matrix
+    m = mode_annihilation(mode, rho.spec)
     return float(np.real(np.trace(m.conj().T @ m @ rho.matrix)))
 
 
@@ -34,7 +34,7 @@ def g2_zero_delay(rho: DensityMatrix, mode: int = 1) -> float:
     Ratio of the normally ordered two-excitation moment to the squared
     occupation, evaluated on the full state.
     """
-    m = mode_annihilation(mode, rho.spec).matrix
+    m = mode_annihilation(mode, rho.spec)
     md = m.conj().T
     occupation = np.real(np.trace(md @ m @ rho.matrix))
     if occupation < OCCUPATION_FLOOR:

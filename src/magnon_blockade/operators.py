@@ -17,15 +17,12 @@ class HilbertSpec:
 
     n_modes: int
     fock_cutoff: int
-    qubit_dim: int = 2
 
     def __post_init__(self):
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
         if self.fock_cutoff < 0:
             raise ValueError("fock_cutoff must be nonnegative")
-        if self.qubit_dim != 2:
-            raise ValueError("qubit_dim is fixed to 2")
 
     @property
     def local_dim(self) -> int:
@@ -33,45 +30,11 @@ class HilbertSpec:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.qubit_dim,) + (self.local_dim,) * self.n_modes
+        return (2,) + (self.local_dim,) * self.n_modes
 
     @property
     def dim(self) -> int:
-        return self.qubit_dim * self.local_dim**self.n_modes
-
-
-@dataclass(frozen=True)
-class QuantumOperator:
-    """Complex matrix acting on the full composite space."""
-
-    matrix: np.ndarray
-    spec: HilbertSpec
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if m.shape[0] != self.spec.dim:
-            raise ValueError(
-                f"operator dimension {m.shape[0]} does not match "
-                f"space dimension {self.spec.dim}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    def dag(self) -> "QuantumOperator":
-        return QuantumOperator(self.matrix.conj().T, self.spec)
-
-    def __matmul__(self, other: "QuantumOperator") -> "QuantumOperator":
-        return QuantumOperator(self.matrix @ other.matrix, self.spec)
-
-    def __add__(self, other: "QuantumOperator") -> "QuantumOperator":
-        return QuantumOperator(self.matrix + other.matrix, self.spec)
-
-    def __sub__(self, other: "QuantumOperator") -> "QuantumOperator":
-        return QuantumOperator(self.matrix - other.matrix, self.spec)
-
-    def __rmul__(self, scalar) -> "QuantumOperator":
-        return QuantumOperator(scalar * self.matrix, self.spec)
+        return 2 * self.local_dim**self.n_modes
 
 
 @dataclass(frozen=True)
@@ -108,9 +71,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix not positive: min eigenvalue {w.min():.3e}")
         return self
 
-    def expectation(self, op: QuantumOperator) -> complex:
-        return complex(np.trace(op.matrix @ self.matrix))
-
 
 def fock_annihilation(n_max: int) -> np.ndarray:
     """Single-mode bosonic annihilation operator on a Fock space cut at n_max.
@@ -127,11 +87,7 @@ def qubit_lowering() -> np.ndarray:
     return np.array([[0, 1], [0, 0]], dtype=complex)
 
 
-def identity_local(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def embed(op: np.ndarray, site: int, spec: HilbertSpec) -> QuantumOperator:
+def embed(op: np.ndarray, site: int, spec: HilbertSpec) -> np.ndarray:
     """Embed a single-subsystem operator into the full space.
 
     Site 0 is the qubit, sites 1..N are the modes.
@@ -147,8 +103,8 @@ def embed(op: np.ndarray, site: int, spec: HilbertSpec) -> QuantumOperator:
         )
     full = np.eye(1, dtype=complex)
     for k, d in enumerate(dims):
-        full = np.kron(full, op if k == site else identity_local(d))
-    return QuantumOperator(full, spec)
+        full = np.kron(full, op if k == site else np.eye(d, dtype=complex))
+    return full
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> np.ndarray:
@@ -165,13 +121,13 @@ def partial_trace(rho: DensityMatrix, keep: int) -> np.ndarray:
     return np.ascontiguousarray(reduced)
 
 
-def mode_annihilation(mode: int, spec: HilbertSpec) -> QuantumOperator:
+def mode_annihilation(mode: int, spec: HilbertSpec) -> np.ndarray:
     """Full-space annihilation operator of one mode (1-based mode index)."""
     if not 1 <= mode <= spec.n_modes:
         raise ValueError(f"mode {mode} out of range for {spec.n_modes} modes")
     return embed(fock_annihilation(spec.fock_cutoff), mode, spec)
 
 
-def qubit_sigma_minus(spec: HilbertSpec) -> QuantumOperator:
+def qubit_sigma_minus(spec: HilbertSpec) -> np.ndarray:
     """Full-space qubit lowering operator."""
     return embed(qubit_lowering(), 0, spec)

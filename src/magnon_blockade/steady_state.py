@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .model import ModelParams, build_dissipators, build_effective_hamiltonian
-from .operators import DensityMatrix, HilbertSpec, QuantumOperator
+from .operators import DensityMatrix, HilbertSpec
 
 #: Largest Hilbert dimension D for which a D^2 x D^2 generator is built.
 MAX_HILBERT_DIM = 500
@@ -79,9 +79,8 @@ def build_liouvillian(p: ModelParams, spec: HilbertSpec | None = None) -> Liouvi
             f"Hilbert dimension {spec.dim} exceeds the generator cap "
             f"{MAX_HILBERT_DIM}; reduce the Fock cutoff or mode count"
         )
-    h = build_effective_hamiltonian(p, spec).matrix
-    dissipators = [(op.matrix, rate) for op, rate in build_dissipators(p, spec)]
-    return Liouvillian(liouvillian_matrix(h, dissipators), spec)
+    h = build_effective_hamiltonian(p, spec)
+    return Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
 
 
 class SteadyStateError(RuntimeError):
@@ -91,56 +90,43 @@ class SteadyStateError(RuntimeError):
 def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     """Unique steady state via L vec(rho) = 0 with one row traded for trace = 1.
 
-    Falls back to a dense null-space extraction if the row-replaced system
-    is too ill-conditioned to meet the residual bound.
+    Systems up to 4096 rows take a dense LU solve; larger ones a sparse LU
+    factorization followed by one step of iterative refinement, which keeps
+    the tiny multi-excitation moments of a blockade dip from drowning in
+    round-off.  Raises SteadyStateError when the row-replaced system is
+    singular (the steady state is not unique) or the residual exceeds
+    RESIDUAL_RTOL * ||L||.
     """
     d = lv.dim
     n = d * d
-    ident_vec = vectorize(np.eye(d, dtype=complex))
-
-    mat = lv.matrix.tolil(copy=True)
-    mat[0, :] = ident_vec
+    trace_row = sp.csr_matrix(vectorize(np.eye(d, dtype=complex)))
+    mat = sp.vstack([trace_row, lv.matrix[1:]], format="csc")
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
 
-    if n <= 4096:
-        v = np.linalg.solve(mat.toarray(), rhs)
-    else:
-        v = spla.spsolve(mat.tocsc(), rhs)
+    try:
+        if n <= 4096:
+            v = np.linalg.solve(mat.toarray(), rhs)
+        else:
+            lu = spla.splu(mat)
+            v = lu.solve(rhs)
+            v += lu.solve(rhs - mat @ v)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        raise SteadyStateError(
+            f"non-unique steady state: row-replaced generator is singular ({exc})"
+        ) from exc
 
     l_norm = spla.norm(lv.matrix)
     residual = np.linalg.norm(lv.matrix @ v)
-    if residual > RESIDUAL_RTOL * l_norm:
-        v = _null_space_steady_state(lv)
-        residual = np.linalg.norm(lv.matrix @ v)
-        if residual > RESIDUAL_RTOL * l_norm:
-            raise SteadyStateError(
-                f"steady-state residual {residual:.3e} exceeds "
-                f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}"
-            )
+    if not residual <= RESIDUAL_RTOL * l_norm:  # also rejects a NaN residual
+        raise SteadyStateError(
+            f"steady-state residual {residual:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}"
+        )
 
     rho = unvectorize(v, d)
     rho = rho / np.trace(rho)
     return DensityMatrix(rho, lv.spec)
-
-
-def _null_space_steady_state(lv: Liouvillian) -> np.ndarray:
-    """Debug path: eigendecomposition of the full generator."""
-    n = lv.dim * lv.dim
-    if n > 4096:
-        raise SteadyStateError(
-            "row-replaced solve failed and the generator is too large for the "
-            "dense null-space fallback"
-        )
-    w, vecs = np.linalg.eig(lv.matrix.toarray())
-    order = np.argsort(np.abs(w))
-    if len(w) > 1 and np.abs(w[order[1]]) < 1e-10:
-        raise SteadyStateError(
-            "non-unique steady state: generator null space has rank > 1"
-        )
-    v = vecs[:, order[0]]
-    rho = unvectorize(v, lv.dim)
-    return vectorize(rho / np.trace(rho))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -217,34 +203,35 @@ class TruncationError(RuntimeError):
     pass
 
 
-def converge_truncation(
-    p: ModelParams,
-    observable,
-    tol: float = 1e-3,
-    n_max_start: int = 2,
-    n_max_limit: int = 8,
-):
+#: Fock cutoffs tried by converge_truncation, smallest first.
+N_MAX_START = 2
+N_MAX_LIMIT = 8
+
+
+def converge_truncation(p: ModelParams, observable, tol: float = 1e-3) -> DensityMatrix:
     """Escalate the Fock cutoff until the observable stops moving.
 
-    observable maps a steady-state DensityMatrix to a float.  Returns
-    (value, n_max_used).  Raises TruncationError with the observed trend if
-    the relative change has not dropped below tol by n_max_limit.
+    observable maps a steady-state DensityMatrix to a float.  Returns the
+    steady state at the smallest cutoff whose observable agrees with the
+    next cutoff's to relative tolerance tol; that cutoff is its
+    spec.fock_cutoff.  Raises TruncationError with the observed trend if no
+    two successive cutoffs up to N_MAX_LIMIT agree.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     trend = []
     previous = None
-    for n_max in range(n_max_start, n_max_limit + 1):
+    for n_max in range(N_MAX_START, N_MAX_LIMIT + 1):
         rho = solve_steady_state(build_liouvillian(p.with_(fock_cutoff=n_max)))
         value = observable(rho)
         trend.append((n_max, value))
         if previous is not None:
-            scale = max(abs(value), abs(previous), 1e-300)
-            if abs(value - previous) / scale < tol:
-                # n_max - 1 already sufficed: report the smaller cutoff.
-                return value, n_max - 1
-        previous = value
+            prev_rho, prev_value = previous
+            scale = max(abs(value), abs(prev_value), 1e-300)
+            if abs(value - prev_value) / scale < tol:
+                return prev_rho
+        previous = rho, value
     raise TruncationError(
         f"observable did not converge to rtol {tol} by fock cutoff "
-        f"{n_max_limit}; trend: {trend}"
+        f"{N_MAX_LIMIT}; trend: {trend}"
     )

@@ -34,7 +34,6 @@ class SweepSpec:
     engines: tuple[str, ...] = ("numeric",)
     #: When sweeping drive_rabi, keep probe_rabi at this multiple of the drive.
     probe_tracks_drive: float | None = None
-    truncation_tol: float = 1e-3
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -119,14 +118,9 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
         if "analytic" in spec.engines:
             amps = amplitudes_for(p)
             g2_an, _ = g2_analytic(amps)
-            if p1 is None:
-                p1 = amps.p_g1
+            p1 = amps.p_g1
         if "numeric" in spec.engines:
-            _, n_used = converge_truncation(
-                p, g2_zero_delay, tol=spec.truncation_tol
-            )
-            rho = solve_steady_state(build_liouvillian(p.with_(fock_cutoff=n_used)))
-            metrics = blockade_metrics(rho)
+            metrics = blockade_metrics(converge_truncation(p, g2_zero_delay))
             g2_num = metrics.g2_zero
             p1 = metrics.p1
             occupation = metrics.occupation

@@ -58,9 +58,9 @@ def two_mode_params(drive, theta, kappa=0.5, coupling=20.0, fock_cutoff=4):
 def numeric_point(p, converge=True):
     """(log10 g2, p1) at a parameter point, Fock cutoff escalated on demand."""
     if converge:
-        _, n_used = converge_truncation(p, g2_zero_delay, tol=1e-3)
-        p = p.with_(fock_cutoff=n_used)
-    rho = solve_steady_state(build_liouvillian(p))
+        rho = converge_truncation(p, g2_zero_delay, tol=1e-3)
+    else:
+        rho = solve_steady_state(build_liouvillian(p))
     return math.log10(g2_zero_delay(rho)), single_excitation_probability(rho)
 
 

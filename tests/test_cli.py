@@ -96,6 +96,15 @@ class TestSteadyG2:
         assert main(["steady", "g2", *flags]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_nonfinite_parameter_exit_1(self, capsys):
+        flags = [f if f != "0.5" else "nan" for f in BASE_FLAGS]
+        assert main(["steady", "g2", *flags]) == 1
+        assert "decay must be finite" in capsys.readouterr().err
+
+    def test_converge_reports_settled_cutoff(self, capsys):
+        assert main(["steady", "g2", *BASE_FLAGS, "--converge"]) == 0
+        assert "n_max = 2" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def sweep_args(self, output):

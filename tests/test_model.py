@@ -42,6 +42,15 @@ class TestModelParams:
         with pytest.raises(ValueError, match="nonnegative"):
             ModelParams(1, 1.0, -1.0, 0.1, 0.1, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("decay", math.nan), ("delta", math.inf), ("coupling", math.nan),
+         ("probe_rabi", math.inf), ("drive_rabi", math.nan), ("phase", -math.inf)],
+    )
+    def test_rejects_nonfinite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            fig2_params().with_(**{field: value})
+
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValueError, match="fock_cutoff"):
             ModelParams(1, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=0)
@@ -57,34 +66,34 @@ class TestModelParams:
 class TestEffectiveHamiltonian:
     def test_hermitian(self):
         p = fig2_params(phase=0.3)
-        h = build_effective_hamiltonian(p, p.hilbert_spec()).matrix
+        h = build_effective_hamiltonian(p, p.hilbert_spec())
         assert np.array_equal(h, h.conj().T)
 
     def test_zero_parameters_zero_matrix(self):
         p = ModelParams(1, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, fock_cutoff=2)
-        h = build_effective_hamiltonian(p, p.hilbert_spec()).matrix
+        h = build_effective_hamiltonian(p, p.hilbert_spec())
         assert np.array_equal(h, np.zeros_like(h))
 
     def test_matches_operator_formula(self):
         p = ModelParams(2, 3.0, 1.5, 0.2, 0.4, 0.7, 1.0, fock_cutoff=2)
         spec = p.hilbert_spec()
-        sm = qubit_sigma_minus(spec).matrix
+        sm = qubit_sigma_minus(spec)
         sp_ = sm.conj().T
         expected = p.delta * (sp_ @ sm)
         expected = expected + p.probe_rabi * (
             np.exp(-1j * p.phase) * sp_ + np.exp(1j * p.phase) * sm
         )
         for j in (1, 2):
-            m = mode_annihilation(j, spec).matrix
+            m = mode_annihilation(j, spec)
             expected = expected + p.delta * (m.conj().T @ m)
             expected = expected + p.coupling * (m @ sp_ + m.conj().T @ sm)
             expected = expected + p.drive_rabi * (m.conj().T + m)
-        h = build_effective_hamiltonian(p, spec).matrix
+        h = build_effective_hamiltonian(p, spec)
         assert np.allclose(h, expected, atol=1e-14)
 
     def test_probe_phase_enters_offdiagonal(self):
         p = ModelParams(1, 0.0, 0.0, 2.0, 0.0, 0.4, 1.0, fock_cutoff=1)
-        h = build_effective_hamiltonian(p, p.hilbert_spec()).matrix
+        h = build_effective_hamiltonian(p, p.hilbert_spec())
         # Basis |g0>, |g1>, |e0>, |e1>: <g0|H|e0> carries exp(+i theta).
         assert np.isclose(h[0, 2], 2.0 * np.exp(1j * 0.4))
 
@@ -98,7 +107,7 @@ class TestEffectiveHamiltonian:
 class TestNonHermitianHamiltonian:
     def test_imaginary_shifts_follow_excitation_number(self):
         p = fig2_params(fock_cutoff=1)
-        h = build_nonhermitian_hamiltonian(p, p.hilbert_spec()).matrix
+        h = build_nonhermitian_hamiltonian(p, p.hilbert_spec())
         diag = np.diag(h)
         # |g0>, |g1>, |e0>, |e1> carry 0, 1, 1, 2 excitations.
         assert np.allclose(diag.imag, [-0.0, -0.25, -0.25, -0.5])
@@ -106,8 +115,8 @@ class TestNonHermitianHamiltonian:
     def test_real_part_is_effective_hamiltonian(self):
         p = fig2_params(phase=0.2, fock_cutoff=2)
         spec = p.hilbert_spec()
-        h_eff = build_effective_hamiltonian(p, spec).matrix
-        h_nh = build_nonhermitian_hamiltonian(p, spec).matrix
+        h_eff = build_effective_hamiltonian(p, spec)
+        h_nh = build_nonhermitian_hamiltonian(p, spec)
         assert np.allclose(0.5 * (h_nh + h_nh.conj().T), h_eff)
 
 
@@ -122,8 +131,8 @@ class TestDissipators:
         p = fig2_params(fock_cutoff=2)
         spec = p.hilbert_spec()
         channels = build_dissipators(p, spec)
-        assert np.array_equal(channels[0][0].matrix, qubit_sigma_minus(spec).matrix)
-        assert np.array_equal(channels[1][0].matrix, mode_annihilation(1, spec).matrix)
+        assert np.array_equal(channels[0][0], qubit_sigma_minus(spec))
+        assert np.array_equal(channels[1][0], mode_annihilation(1, spec))
 
 
 class TestEffectiveParameterDerivation:

@@ -69,7 +69,7 @@ class TestQubitOperators:
 class TestEmbed:
     def test_qubit_lowering_structure(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=2)
-        full = embed(qubit_lowering(), 0, spec).matrix
+        full = embed(qubit_lowering(), 0, spec)
         assert full.shape == (6, 6)
         # Only |e,n> -> |g,n> transitions: rows 0..2 (g block), cols 3..5 (e block).
         expected = np.kron(qubit_lowering(), np.eye(3))
@@ -77,21 +77,21 @@ class TestEmbed:
 
     def test_distinct_sites_commute(self):
         spec = HilbertSpec(n_modes=2, fock_cutoff=2)
-        m1 = mode_annihilation(1, spec).matrix
-        m2 = mode_annihilation(2, spec).matrix
+        m1 = mode_annihilation(1, spec)
+        m2 = mode_annihilation(2, spec)
         assert np.array_equal(m1 @ m2, m2 @ m1)
 
     def test_trace_scaling(self):
         spec = HilbertSpec(n_modes=2, fock_cutoff=3)
         op = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        full = embed(op, 1, spec).matrix
+        full = embed(op, 1, spec)
         other_dims = spec.dim // op.shape[0]
         assert np.isclose(np.trace(full), np.trace(op) * other_dims)
 
     def test_norm_preserved(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=3)
         op = fock_annihilation(3)
-        full = embed(op, 1, spec).matrix
+        full = embed(op, 1, spec)
         assert np.isclose(
             np.linalg.norm(full, 2), np.linalg.norm(op, 2)
         )
@@ -180,5 +180,5 @@ class TestDensityMatrixValidation:
 def test_sigma_minus_helper_matches_embed():
     spec = HilbertSpec(n_modes=2, fock_cutoff=2)
     assert np.array_equal(
-        qubit_sigma_minus(spec).matrix, embed(qubit_lowering(), 0, spec).matrix
+        qubit_sigma_minus(spec), embed(qubit_lowering(), 0, spec)
     )

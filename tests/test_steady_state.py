@@ -3,8 +3,9 @@ import pytest
 
 from magnon_blockade.model import ModelParams
 from magnon_blockade.observables import g2_zero_delay, mode_occupation
-from magnon_blockade.operators import DensityMatrix
+from magnon_blockade.operators import DensityMatrix, HilbertSpec
 from magnon_blockade.steady_state import (
+    Liouvillian,
     SteadyStateError,
     TruncationError,
     build_liouvillian,
@@ -131,6 +132,27 @@ class TestSolveSteadyState:
         rho = solve_steady_state(build_liouvillian(p))
         assert abs(mode_occupation(rho, 1) - mode_occupation(rho, 2)) < 1e-10
 
+    def test_sparse_branch_resolves_blockade_dip(self):
+        # Cutoff 32 gives 66^2 = 4356 rows, past the dense branch.  Near the
+        # optimal phase the two-excitation moment is ~1e-19; an unrefined
+        # sparse solve returns it negative, which clips g2 to exactly 0.
+        p = ModelParams(1, 35.0, 35.0, 0.003, 0.001, 0.0077, 0.5, fock_cutoff=32)
+        sparse = g2_zero_delay(solve_steady_state(build_liouvillian(p)))
+        dense = g2_zero_delay(
+            solve_steady_state(build_liouvillian(p.with_(fock_cutoff=4)))
+        )
+        assert sparse > 0
+        assert abs(np.log10(sparse) - np.log10(dense)) < 1e-3
+
+    @pytest.mark.parametrize("spec", [HilbertSpec(0, 1), HilbertSpec(1, 32)])
+    def test_non_unique_steady_state_raises(self, spec):
+        # Without dissipation every diagonal state is stationary; the
+        # row-replaced system is singular in both the dense (4 rows) and the
+        # sparse (4356 rows) branch.
+        lv = Liouvillian(liouvillian_matrix(np.zeros((spec.dim, spec.dim)), []), spec)
+        with pytest.raises(SteadyStateError, match="non-unique steady state"):
+            solve_steady_state(lv)
+
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
@@ -146,26 +168,32 @@ class TestTraceDistance:
 class TestConvergeTruncation:
     def test_weak_drive_converges_at_smallest_cutoff(self):
         p = fig2_params(drive=0.001)
-        value, n_used = converge_truncation(p, g2_zero_delay)
-        assert n_used == 2
+        rho = converge_truncation(p, g2_zero_delay)
+        assert rho.spec.fock_cutoff == 2
         direct = g2_zero_delay(
             solve_steady_state(build_liouvillian(p.with_(fock_cutoff=2)))
         )
-        assert value == pytest.approx(direct, rel=1e-3)
+        assert g2_zero_delay(rho) == pytest.approx(direct, rel=1e-3)
 
     def test_undriven_occupation_converges_immediately(self):
         p = ModelParams(1, 35.0, 35.0, 0.0, 0.0, 0.0, 0.5, fock_cutoff=4)
-        value, n_used = converge_truncation(p, mode_occupation)
-        assert value == pytest.approx(0.0, abs=1e-14)
-        assert n_used == 2
+        rho = converge_truncation(p, mode_occupation)
+        assert mode_occupation(rho) == pytest.approx(0.0, abs=1e-14)
+        assert rho.spec.fock_cutoff == 2
 
     def test_reported_cutoff_reproduces_value(self):
+        # The returned cutoff is converged: one more Fock level moves g2 by
+        # less than tol.
         p = fig2_params(drive=0.1)
-        value, n_used = converge_truncation(p, g2_zero_delay, tol=1e-3)
-        at_reported = g2_zero_delay(
-            solve_steady_state(build_liouvillian(p.with_(fock_cutoff=n_used)))
+        tol = 1e-3
+        rho = converge_truncation(p, g2_zero_delay, tol=tol)
+        value = g2_zero_delay(rho)
+        one_more = g2_zero_delay(
+            solve_steady_state(
+                build_liouvillian(p.with_(fock_cutoff=rho.spec.fock_cutoff + 1))
+            )
         )
-        assert value == pytest.approx(at_reported, rel=2e-3)
+        assert abs(value - one_more) / max(value, one_more) < tol
 
     def test_nonconverging_observable_raises(self):
         p = fig2_params(drive=0.001)
