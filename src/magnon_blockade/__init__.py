@@ -10,9 +10,6 @@ from .analytic import (
     AmplitudeSet,
     OptimalConditions,
     amplitudes_for,
-    amplitudes_general_n,
-    amplitudes_n1,
-    amplitudes_n2,
     g2_analytic,
     optimal_conditions,
     theta_optimal_exact,
@@ -69,9 +66,6 @@ __all__ = [
     "SweepRecord",
     "SweepSpec",
     "amplitudes_for",
-    "amplitudes_general_n",
-    "amplitudes_n1",
-    "amplitudes_n2",
     "blockade_metrics",
     "build_dissipators",
     "build_effective_hamiltonian",

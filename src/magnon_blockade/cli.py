@@ -5,7 +5,8 @@ Subcommands: `steady g2`, `sweep`, `optimize`, `verify-scaling`, and
 config file; flags win.  All rates are in units of gamma (gamma / 2 pi =
 1 MHz), angles in radians.
 
-Exit codes: 0 success, 1 configuration error, 2 when any sweep row failed.
+Exit codes: 0 success, 1 configuration error (any ValueError the library
+raises for the given input), 2 when any sweep row or scaling entry failed.
 """
 
 from __future__ import annotations
@@ -228,7 +229,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify_scaling(args) -> int:
-    n_list = tuple(int(s) for s in args.n_list.split(","))
+    try:
+        n_list = tuple(int(s) for s in args.n_list.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--n-list must be comma-separated integers: {exc}") from exc
     report = verify_scaling(n_list=n_list, r=args.r, coupling=args.coupling)
     print(f"r = {report.r}")
     for e in report.entries:
@@ -243,7 +247,7 @@ def cmd_verify_scaling(args) -> int:
             )
     for name, slope in report.exponents.items():
         print(f"exponent {name} = {slope:+.4f}")
-    return 0
+    return 2 if any(e.error for e in report.entries) else 0
 
 
 def cmd_preset(args) -> int:
@@ -320,10 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

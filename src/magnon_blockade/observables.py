@@ -6,10 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix, mode_annihilation, partial_trace
+from .operators import DensityMatrix, partial_trace
 
 #: Smallest mode occupation for which the correlation ratio is formed.
 OCCUPATION_FLOOR = 1e-14
+
+#: Negative two-excitation moment, relative to the squared occupation,
+#: still read as round-off.
+NEGATIVE_MOMENT_RTOL = 1e-12
 
 #: Half-width of the Poissonian band around g2 = 1.
 POISSONIAN_BAND = 1e-6
@@ -20,36 +24,62 @@ ANTIBUNCHING = "antibunching"
 
 
 class UndefinedCorrelationError(ValueError):
-    """Raised when the mode occupation is too small to normalize g2."""
+    """Raised when g2 cannot be formed: the mode occupation is below the
+    floor, or the two-excitation moment is negative beyond round-off."""
+
+
+def _fock_moments(rho: DensityMatrix, mode: int) -> tuple[float, float, float]:
+    """Occupation <n>, pair moment <n (n - 1)> and P1 of one mode.
+
+    All three come from the diagonal of the mode's reduced state, the Fock
+    populations P_n.
+    """
+    if not 1 <= mode <= rho.spec.n_modes:
+        raise ValueError(f"mode {mode} out of range for {rho.spec.n_modes} modes")
+    if rho.spec.fock_cutoff < 1:
+        raise ValueError("no excitation sector: fock cutoff must be at least 1")
+    populations = np.real(np.diagonal(partial_trace(rho, mode)))
+    n = np.arange(populations.size)
+    return (
+        float(n @ populations),
+        float(n * (n - 1) @ populations),
+        float(populations[1]),
+    )
+
+
+def _g2_ratio(occupation: float, pairs: float) -> float:
+    if occupation < OCCUPATION_FLOOR:
+        raise UndefinedCorrelationError(
+            f"mode occupation {occupation:.3e} below floor {OCCUPATION_FLOOR:.1e}: "
+            "correlation function undefined"
+        )
+    if pairs < -NEGATIVE_MOMENT_RTOL * occupation**2:
+        raise UndefinedCorrelationError(
+            f"two-excitation moment {pairs:.3e} is negative at occupation "
+            f"{occupation:.3e}: the state is not positive"
+        )
+    return max(pairs, 0.0) / occupation**2
 
 
 def mode_occupation(rho: DensityMatrix, mode: int = 1) -> float:
-    m = mode_annihilation(mode, rho.spec)
-    return float(np.real(np.trace(m.conj().T @ m @ rho.matrix)))
+    return _fock_moments(rho, mode)[0]
 
 
 def g2_zero_delay(rho: DensityMatrix, mode: int = 1) -> float:
     """Equal-time second-order correlation of one mode.
 
     Ratio of the normally ordered two-excitation moment to the squared
-    occupation, evaluated on the full state.
+    occupation.  A moment below -NEGATIVE_MOMENT_RTOL * occupation^2 means
+    the state lost positivity and raises UndefinedCorrelationError; smaller
+    negative round-off reads as zero.
     """
-    m = mode_annihilation(mode, rho.spec)
-    md = m.conj().T
-    occupation = np.real(np.trace(md @ m @ rho.matrix))
-    if occupation < OCCUPATION_FLOOR:
-        raise UndefinedCorrelationError(
-            f"mode occupation {occupation:.3e} below floor {OCCUPATION_FLOOR:.1e}: "
-            "correlation function undefined"
-        )
-    pairs = np.real(np.trace(md @ md @ m @ m @ rho.matrix))
-    return float(max(pairs, 0.0) / occupation**2)
+    occupation, pairs, _ = _fock_moments(rho, mode)
+    return _g2_ratio(occupation, pairs)
 
 
 def single_excitation_probability(rho: DensityMatrix, mode: int = 1) -> float:
     """Population of the one-excitation Fock level of the reduced mode state."""
-    reduced = partial_trace(rho, mode)
-    return float(np.real(reduced[1, 1]))
+    return _fock_moments(rho, mode)[2]
 
 
 def classify_statistics(g2: float) -> str:
@@ -80,11 +110,12 @@ class BlockadeMetrics:
 
 
 def blockade_metrics(rho: DensityMatrix, mode: int = 1) -> BlockadeMetrics:
-    g2 = g2_zero_delay(rho, mode)
+    occupation, pairs, p1 = _fock_moments(rho, mode)
+    g2 = _g2_ratio(occupation, pairs)
     return BlockadeMetrics(
         g2_zero=g2,
-        p1=single_excitation_probability(rho, mode),
-        occupation=mode_occupation(rho, mode),
+        p1=p1,
+        occupation=occupation,
         classification=classify_statistics(g2),
         n_max=rho.spec.fock_cutoff,
     )

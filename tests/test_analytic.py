@@ -6,11 +6,7 @@ import pytest
 from magnon_blockade.analytic import (
     ResonanceError,
     amplitudes_for,
-    amplitudes_general_n,
-    amplitudes_n1,
-    amplitudes_n2,
-    closed_form_probabilities_n1,
-    closed_form_probabilities_n2,
+    closed_form_probabilities,
     complex_detuning,
     g2_analytic,
     intermediates,
@@ -46,13 +42,32 @@ def optimal_params(n_modes, coupling, decay, drive, theta):
     )
 
 
+def paper_general_n_amplitudes(p):
+    """The paper's general-N closed forms, which drop the cross amplitude.
+
+    Returns (c_g1, c_e0, c_g11, c_e1) written out from `intermediates`.
+    """
+    n = p.n_modes
+    dt = complex_detuning(p)
+    j, om = p.coupling, p.drive_rabi
+    oq = p.probe_rabi * np.exp(-1j * p.phase)
+    inter = intermediates(p)
+    c_g1 = (j * oq - om * dt) / (dt**2 - n * j**2)
+    c_e0 = -(n * j * c_g1 + oq) / dt
+    c_g11 = (
+        math.sqrt(2) * (inter.a_coeff * c_g1 - inter.b_coeff) / (4 * dt**2 - 2 * j**2)
+    )
+    c_e1 = -(math.sqrt(2) * j * c_g11 + oq * c_g1 + om * c_e0) / (2 * dt)
+    return c_g1, c_e0, c_g11, c_e1
+
+
 class TestLinearSolveVsClosedForms:
     def test_single_mode_probabilities_match(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             p = random_params(rng, 1)
-            amps = amplitudes_n1(p)
-            p_g1, p_g11 = closed_form_probabilities_n1(p)
+            amps = amplitudes_for(p)
+            p_g1, p_g11 = closed_form_probabilities(p)
             assert amps.p_g1 == pytest.approx(p_g1, rel=1e-9)
             assert amps.p_g11 == pytest.approx(p_g11, rel=1e-9)
 
@@ -60,8 +75,8 @@ class TestLinearSolveVsClosedForms:
         rng = np.random.default_rng(22)
         for _ in range(10):
             p = random_params(rng, 2)
-            amps = amplitudes_n2(p)
-            p_g1, p_g11 = closed_form_probabilities_n2(p)
+            amps = amplitudes_for(p)
+            p_g1, p_g11 = closed_form_probabilities(p)
             assert amps.p_g1 == pytest.approx(p_g1, rel=1e-9)
             assert amps.p_g11 == pytest.approx(p_g11, rel=1e-9)
 
@@ -69,34 +84,48 @@ class TestLinearSolveVsClosedForms:
         rng = np.random.default_rng(23)
         for _ in range(10):
             p = random_params(rng, 1)
-            direct = amplitudes_n1(p)
-            general = amplitudes_general_n(p)
-            assert general.c_g1 == pytest.approx(direct.c_g1, rel=1e-9)
-            assert general.c_g11 == pytest.approx(direct.c_g11, rel=1e-9)
-            assert general.c_e0 == pytest.approx(direct.c_e0, rel=1e-9)
-            assert general.c_e1 == pytest.approx(direct.c_e1, rel=1e-9)
+            amps = amplitudes_for(p)
+            c_g1, c_e0, c_g11, c_e1 = paper_general_n_amplitudes(p)
+            assert amps.c_g1 == pytest.approx(c_g1, rel=1e-9)
+            assert amps.c_e0 == pytest.approx(c_e0, rel=1e-9)
+            assert amps.c_g11 == pytest.approx(c_g11, rel=1e-9)
+            assert amps.c_e1 == pytest.approx(c_e1, rel=1e-9)
 
     def test_general_form_shares_single_excitation_with_two_mode(self):
+        # The exact two-mode solve keeps the cross amplitude, which the
+        # general form drops; only the single-excitation amplitude is shared.
         rng = np.random.default_rng(24)
         for _ in range(10):
             p = random_params(rng, 2)
-            direct = amplitudes_n2(p)
-            general = amplitudes_general_n(p)
-            assert general.c_g1 == pytest.approx(direct.c_g1, rel=1e-9)
+            c_g1 = paper_general_n_amplitudes(p)[0]
+            assert amplitudes_for(p).c_g1 == pytest.approx(c_g1, rel=1e-9)
+
+    def test_paper_general_n_equations(self):
+        # At N >= 3 the solve is the paper's general-N form itself.
+        rng = np.random.default_rng(25)
+        for n in (3, 4):
+            for _ in range(10):
+                p = random_params(rng, n)
+                amps = amplitudes_for(p)
+                c_g1, c_e0, c_g11, c_e1 = paper_general_n_amplitudes(p)
+                assert amps.c_g1 == pytest.approx(c_g1, rel=1e-9)
+                assert amps.c_e0 == pytest.approx(c_e0, rel=1e-9)
+                assert amps.c_g11 == pytest.approx(c_g11, rel=1e-9)
+                assert amps.c_e1 == pytest.approx(c_e1, rel=1e-9)
 
 
 class TestSmallPhaseExpansion:
     def test_single_mode_within_two_percent(self):
         p = optimal_params(1, 35.0, 0.5, 0.001, theta=0.005)
-        full = closed_form_probabilities_n1(p)
-        fast = closed_form_probabilities_n1(p, small_theta=True)
+        full = closed_form_probabilities(p)
+        fast = closed_form_probabilities(p, small_theta=True)
         assert fast[0] == pytest.approx(full[0], rel=0.02)
         assert fast[1] == pytest.approx(full[1], rel=0.02)
 
     def test_two_mode_within_five_percent(self):
         p = optimal_params(2, 20.0, 0.5, 0.001, theta=0.008)
-        full = closed_form_probabilities_n2(p)
-        fast = closed_form_probabilities_n2(p, small_theta=True)
+        full = closed_form_probabilities(p)
+        fast = closed_form_probabilities(p, small_theta=True)
         assert fast[0] == pytest.approx(full[0], rel=0.05)
         assert fast[1] == pytest.approx(full[1], rel=0.05)
 
@@ -104,7 +133,7 @@ class TestSmallPhaseExpansion:
 class TestG2Ratio:
     def test_weak_drive_exact_approx_agree(self):
         p = optimal_params(1, 35.0, 0.5, 0.0001, theta=0.0)
-        amps = amplitudes_n1(p)
+        amps = amplitudes_for(p)
         exact, approx = g2_analytic(amps)
         assert amps.weak_drive_certified
         assert exact == pytest.approx(approx, rel=1e-3)
@@ -115,23 +144,34 @@ class TestG2Ratio:
         # combination; instead force it via drive_rabi = probe_rabi = 0.
         p = p.with_(probe_rabi=0.0, drive_rabi=0.0)
         with pytest.raises(ZeroDivisionError):
-            g2_analytic(amplitudes_n1(p))
+            g2_analytic(amplitudes_for(p))
 
     def test_dispatch_by_mode_count(self):
+        # The cross amplitude exists only in the two-mode solve.
         rng = np.random.default_rng(25)
-        p1 = random_params(rng, 1)
-        p2 = random_params(rng, 2)
-        p3 = random_params(rng, 3)
-        assert amplitudes_for(p1).c_g11 == amplitudes_n1(p1).c_g11
-        assert amplitudes_for(p2).c_g12 == amplitudes_n2(p2).c_g12
-        assert amplitudes_for(p3).c_g12 == 0.0
+        assert amplitudes_for(random_params(rng, 1)).c_g12 == 0.0
+        assert amplitudes_for(random_params(rng, 2)).c_g12 != 0.0
+        assert amplitudes_for(random_params(rng, 3)).c_g12 == 0.0
 
 
 class TestResonances:
     def test_single_excitation_resonance(self):
-        p = ModelParams(2, math.sqrt(2) * 20.0, 20.0, 0.3, 0.1, 0.0, 1e-300)
-        with pytest.raises(ResonanceError):
-            amplitudes_general_n(p)
+        for n in (1, 2, 3):
+            p = ModelParams(n, math.sqrt(n) * 20.0, 20.0, 0.3, 0.1, 0.0, 1e-300)
+            with pytest.raises(ResonanceError, match="single-excitation"):
+                amplitudes_for(p)
+
+    def test_two_excitation_resonance(self):
+        # 2 dt^2 = J^2, or 2 J^2 at N = 2, where the cross amplitude couples in.
+        for n, delta in ((1, 20.0 / math.sqrt(2)), (2, 20.0), (3, 20.0 / math.sqrt(2))):
+            p = ModelParams(n, delta, 20.0, 0.3, 0.1, 0.0, 1e-300)
+            with pytest.raises(ResonanceError, match="two-excitation"):
+                amplitudes_for(p)
+
+    def test_closed_form_rejects_three_modes(self):
+        p = optimal_params(3, 20.0, 0.5, 0.001, theta=0.005)
+        with pytest.raises(ValueError, match="one or two modes"):
+            closed_form_probabilities(p)
 
     def test_zero_coupling_intermediates_rejected(self):
         p = ModelParams(1, 5.0, 0.0, 0.1, 0.1, 0.0, 0.5)
@@ -140,10 +180,11 @@ class TestResonances:
 
     def test_decoupled_mode_general_form(self):
         # Zero coupling: the mode is a driven damped oscillator.
-        p = ModelParams(1, 3.0, 0.0, 0.1, 0.05, 0.2, 1.0)
-        amps = amplitudes_general_n(p)
-        dt = complex_detuning(p)
-        assert amps.c_g1 == pytest.approx(-p.drive_rabi / dt, rel=1e-12)
+        for n in (1, 3):
+            p = ModelParams(n, 3.0, 0.0, 0.1, 0.05, 0.2, 1.0)
+            amps = amplitudes_for(p)
+            dt = complex_detuning(p)
+            assert amps.c_g1 == pytest.approx(-p.drive_rabi / dt, rel=1e-12)
 
 
 class TestOptimalConditions:

@@ -101,6 +101,11 @@ class TestSteadyG2:
         assert main(["steady", "g2", *flags]) == 1
         assert "decay must be finite" in capsys.readouterr().err
 
+    def test_generator_cap_exit_1(self, capsys):
+        args = ["steady", "g2", *BASE_FLAGS, "--n-modes", "4", "--fock-cutoff", "4"]
+        assert main(args) == 1
+        assert "configuration error: Hilbert dimension" in capsys.readouterr().err
+
     def test_converge_reports_settled_cutoff(self, capsys):
         assert main(["steady", "g2", *BASE_FLAGS, "--converge"]) == 0
         assert "n_max = 2" in capsys.readouterr().out
@@ -196,6 +201,31 @@ class TestOptimizeCommand:
         argmin = float(out.splitlines()[0].split("=")[1])
         assert math.isclose(argmin, 0.009522109, abs_tol=1e-3)
         assert "log10_min_g2 = " in out
+
+
+    def test_no_interior_minimum_exit_1(self, capsys):
+        args = [
+            "optimize", *BASE_FLAGS,
+            "--axis", "theta",
+            "--bracket-lo", "0.02",
+            "--bracket-hi", "0.05",
+            "--engine", "analytic",
+        ]
+        assert main(args) == 1
+        assert "configuration error: no interior minimum" in capsys.readouterr().err
+
+
+class TestVerifyScalingCommand:
+    def test_bad_mode_list_exit_1(self, capsys):
+        assert main(["verify-scaling", "--n-list", "1,x"]) == 1
+        assert "configuration error: --n-list" in capsys.readouterr().err
+
+    def test_failed_entry_exit_2(self, capsys):
+        # N = 6 at the default cutoff exceeds the generator cap.
+        assert main(["verify-scaling", "--n-list", "1,6"]) == 2
+        out = capsys.readouterr().out
+        assert "N=1: delta/J" in out
+        assert "N=6: FAILED" in out
 
 
 class TestPresetCommand:

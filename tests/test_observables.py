@@ -67,6 +67,14 @@ class TestOccupationAndG2:
         assert mode_occupation(rho) == pytest.approx(0.01, rel=1e-10)
         assert g2_zero_delay(rho) == pytest.approx(1.0, abs=1e-8)
 
+    def test_negative_pair_moment_raises(self):
+        # P2 < 0: a non-positive state must not read as perfect blockade.
+        rho = mode_state([0.5, 0.6, -0.1], fock_cutoff=2)
+        with pytest.raises(UndefinedCorrelationError, match="negative"):
+            g2_zero_delay(rho)
+        with pytest.raises(UndefinedCorrelationError, match="negative"):
+            blockade_metrics(rho)
+
     def test_vacuum_correlation_undefined(self):
         rho = mode_state([1.0, 0.0, 0.0], fock_cutoff=2)
         with pytest.raises(UndefinedCorrelationError, match="floor"):
