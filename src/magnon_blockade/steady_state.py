@@ -12,6 +12,7 @@ which reproduces d rho / dt = -i [H, rho] + sum_o (kappa_o/2) (2 o rho o^dag
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,41 +88,77 @@ class SteadyStateError(RuntimeError):
     pass
 
 
+@functools.lru_cache(maxsize=32)
+def permutation_orbits(spec: HilbertSpec) -> sp.csr_matrix:
+    """D^2 x m indicator of the mode-permutation orbits of the vec indices |i><j|.
+
+    Two vec indices share an orbit when their qubit rows and columns agree
+    and their per-mode pairs (a_k, b_k) agree as multisets.  Column o marks
+    the indices of orbit o; orbits are numbered by their first vec index, so
+    orbit 0 is the ground-state projector alone and at N = 1 the matrix is
+    the identity.  The cached matrix is shared by every caller: do not
+    modify it.
+    """
+    d = spec.dim
+    digits = np.indices(spec.dims).reshape(len(spec.dims), d)
+    rows = digits[:, np.tile(np.arange(d), d)]
+    cols = digits[:, np.repeat(np.arange(d), d)]
+    pairs = np.sort(rows[1:] * spec.local_dim + cols[1:], axis=0)
+    keys = np.vstack([rows[:1], cols[:1], pairs])
+    _, first, label = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return sp.csr_matrix(
+        (np.ones(d * d), (np.arange(d * d), rank[label.reshape(-1)])),
+        shape=(d * d, first.size),
+    )
+
+
 def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     """Unique steady state via L vec(rho) = 0 with one row traded for trace = 1.
 
-    Systems up to 4096 rows take a dense LU solve; larger ones a sparse LU
-    factorization followed by one step of iterative refinement, which keeps
-    the tiny multi-excitation moments of a blockade dip from drowning in
-    round-off.  Raises SteadyStateError when the row-replaced system is
-    singular (the steady state is not unique) or the residual exceeds
-    RESIDUAL_RTOL * ||L||.
+    The modes share every parameter, so L commutes with each permutation of
+    the modes and the unique steady state is permutation-invariant.  The
+    solve therefore runs on the orbit coordinates x of v = P x, with P from
+    :func:`permutation_orbits`: the m x m system P^T L P x = 0, whose
+    orbit-0 row is traded for the trace condition.  Systems up to 4096 orbit
+    rows take a dense LU solve; larger ones a sparse LU factorization
+    followed by one step of iterative refinement, which keeps the tiny
+    multi-excitation moments of a blockade dip from drowning in round-off.
+    Raises SteadyStateError when the row-replaced system is singular (the
+    steady state is not unique) or the residual of v on the full generator
+    exceeds RESIDUAL_RTOL * ||L||, as it does for a generator that is not
+    symmetric under mode exchange.
     """
     d = lv.dim
-    n = d * d
-    trace_row = sp.csr_matrix(vectorize(np.eye(d, dtype=complex)))
-    mat = sp.vstack([trace_row, lv.matrix[1:]], format="csc")
+    orbits = permutation_orbits(lv.spec)
+    reduced = (orbits.T @ lv.matrix @ orbits).tocsr()
+    trace_row = sp.csr_matrix(orbits.T @ vectorize(np.eye(d, dtype=complex)))
+    mat = sp.vstack([trace_row, reduced[1:]], format="csc")
+    n = mat.shape[0]
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
 
     try:
         if n <= 4096:
-            v = np.linalg.solve(mat.toarray(), rhs)
+            x = np.linalg.solve(mat.toarray(), rhs)
         else:
             lu = spla.splu(mat)
-            v = lu.solve(rhs)
-            v += lu.solve(rhs - mat @ v)
+            x = lu.solve(rhs)
+            x += lu.solve(rhs - mat @ x)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SteadyStateError(
             f"non-unique steady state: row-replaced generator is singular ({exc})"
         ) from exc
+    v = orbits @ x
 
     l_norm = spla.norm(lv.matrix)
     residual = np.linalg.norm(lv.matrix @ v)
     if not residual <= RESIDUAL_RTOL * l_norm:  # also rejects a NaN residual
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}"
+            f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}; "
+            "the solve assumes a generator symmetric under mode exchange"
         )
 
     rho = unvectorize(v, d)

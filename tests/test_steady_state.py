@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from magnon_blockade.model import ModelParams
-from magnon_blockade.observables import g2_zero_delay, mode_occupation
-from magnon_blockade.operators import DensityMatrix, HilbertSpec
+from magnon_blockade.model import ModelParams, build_dissipators, build_effective_hamiltonian
+from magnon_blockade.observables import blockade_metrics, g2_zero_delay, mode_occupation
+from magnon_blockade.operators import DensityMatrix, HilbertSpec, mode_annihilation, qubit_sigma_minus
 from magnon_blockade.steady_state import (
     Liouvillian,
     SteadyStateError,
@@ -12,6 +18,7 @@ from magnon_blockade.steady_state import (
     converge_truncation,
     evolve_to_steady_state,
     liouvillian_matrix,
+    permutation_orbits,
     solve_steady_state,
     trace_distance,
     unvectorize,
@@ -21,6 +28,28 @@ from magnon_blockade.steady_state import (
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
     return ModelParams(1, 35.0, 35.0, 3 * drive, drive, phase, 0.5, fock_cutoff)
+
+
+def full_space_solve(lv: Liouvillian) -> DensityMatrix:
+    """Reference solve on the whole generator: row 0 of L traded for trace = 1.
+
+    Same dense/sparse split as the solver, but over all D^2 rows and with no
+    use of the mode-permutation symmetry.
+    """
+    d = lv.dim
+    n = d * d
+    trace_row = sp.csr_matrix(vectorize(np.eye(d, dtype=complex)))
+    mat = sp.vstack([trace_row, lv.matrix[1:]], format="csc")
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    if n <= 4096:
+        v = np.linalg.solve(mat.toarray(), rhs)
+    else:
+        lu = spla.splu(mat)
+        v = lu.solve(rhs)
+        v += lu.solve(rhs - mat @ v)
+    rho = unvectorize(v, d)
+    return DensityMatrix(rho / np.trace(rho), lv.spec)
 
 
 class TestVectorization:
@@ -151,6 +180,102 @@ class TestSolveSteadyState:
         # sparse (4356 rows) branch.
         lv = Liouvillian(liouvillian_matrix(np.zeros((spec.dim, spec.dim)), []), spec)
         with pytest.raises(SteadyStateError, match="non-unique steady state"):
+            solve_steady_state(lv)
+
+
+class TestPermutationOrbits:
+    @pytest.mark.parametrize(
+        "n_modes, cutoff, count",
+        [(1, 4, 100), (2, 2, 180), (2, 4, 1300), (3, 2, 660), (4, 2, 1980)],
+    )
+    def test_orbit_count(self, n_modes, cutoff, count):
+        # 4 qubit (row, column) pairs times the multisets of N mode pairs.
+        local = (cutoff + 1) ** 2
+        assert count == 4 * math.comb(local + n_modes - 1, n_modes)
+        spec = HilbertSpec(n_modes, cutoff)
+        orbits = permutation_orbits(spec)
+        assert orbits.shape == (spec.dim**2, count)
+        # Every vec index lies in exactly one orbit.
+        assert np.array_equal(np.asarray(orbits.sum(axis=1)).ravel(), np.ones(spec.dim**2))
+        # Orbit 0 is the ground-state projector alone.
+        assert orbits[:, 0].nonzero()[0].tolist() == [0]
+
+    def test_single_mode_is_identity(self):
+        orbits = permutation_orbits(HilbertSpec(1, 4))
+        assert (orbits != sp.identity(100)).nnz == 0
+
+    def test_orbits_are_mode_swaps(self):
+        # N = 2, cutoff 1: |g,1,0><g,0,1| and |g,0,1><g,1,0| swap modes and
+        # share an orbit; |g,1,0><g,1,0| and |g,1,0><g,0,1| do not.
+        spec = HilbertSpec(2, 1)
+        orbits = permutation_orbits(spec).tocsr()
+
+        def orbit(i, j):
+            return orbits[i + j * spec.dim].nonzero()[1][0]
+
+        g10, g01 = 2, 1
+        assert orbit(g10, g01) == orbit(g01, g10)
+        assert orbit(g10, g10) == orbit(g01, g01)
+        assert orbit(g10, g10) != orbit(g10, g01)
+
+
+# (N, cutoff) of the full-space oracle runs: N = 2 and 3 take a dense LU
+# over up to 2500 and 2916 rows per example; N = 1 at cutoff 32 takes the
+# sparse branch.
+ORACLE_SPACES = [(1, 2), (1, 4), (1, 32), (2, 2), (2, 3), (2, 4), (3, 2)]
+
+
+class TestSymmetricSectorOracle:
+    @pytest.mark.parametrize("n_modes, cutoff", ORACLE_SPACES)
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(
+        drive=st.floats(1e-3, 0.3),
+        phase_scale=st.floats(-2.0, 3.0),
+        detuning_scale=st.floats(0.5, 1.5),
+        decay=st.floats(0.1, 1.5),
+    )
+    @example(drive=0.01, phase_scale=1.0, detuning_scale=1.0, decay=0.5)
+    def test_matches_full_space_solve(
+        self, n_modes, cutoff, drive, phase_scale, detuning_scale, decay
+    ):
+        # The phase is drawn in units of the leading-order blockade phase
+        # 2 kappa / (3 sqrt(N) J), so the draws reach into the dip.
+        coupling = 20.0
+        root_n = math.sqrt(n_modes)
+        p = ModelParams(
+            n_modes=n_modes,
+            delta=detuning_scale * root_n * coupling,
+            coupling=coupling,
+            probe_rabi=3 * root_n * drive,
+            drive_rabi=drive,
+            phase=phase_scale * 2 * decay / (3 * root_n * coupling),
+            decay=decay,
+            fock_cutoff=cutoff,
+        )
+        lv = build_liouvillian(p)
+        reduced = solve_steady_state(lv)
+        full = full_space_solve(lv)
+        if n_modes == 1:
+            assert np.array_equal(reduced.matrix, full.matrix)
+            return
+        assert trace_distance(reduced.matrix, full.matrix) <= 1e-12
+        got, want = blockade_metrics(reduced), blockade_metrics(full)
+        assert abs(math.log10(got.g2_zero) - math.log10(want.g2_zero)) <= 1e-3
+        assert got.p1 == pytest.approx(want.p1, rel=1e-9)
+        assert got.occupation == pytest.approx(want.occupation, rel=1e-9)
+
+    def test_asymmetric_generator_fails_clearly(self):
+        # Couplings 20 and 15: the steady state exists and is unique, but it
+        # is not mode-symmetric, so the symmetric-sector solve misses it.
+        p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 3)
+        spec = p.hilbert_spec()
+        sm, m2 = qubit_sigma_minus(spec), mode_annihilation(2, spec)
+        h = build_effective_hamiltonian(p, spec) - 5.0 * (
+            m2 @ sm.conj().T + m2.conj().T @ sm
+        )
+        lv = Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
+        full_space_solve(lv).validate()
+        with pytest.raises(SteadyStateError, match="symmetric under mode exchange"):
             solve_steady_state(lv)
 
 
