@@ -52,57 +52,60 @@ class ModelParams:
             raise ValueError("fock_cutoff must be at least 1")
 
     def hilbert_spec(self, fock_cutoff: int | None = None) -> HilbertSpec:
-        return HilbertSpec(self.n_modes, fock_cutoff or self.fock_cutoff)
+        cutoff = self.fock_cutoff if fock_cutoff is None else fock_cutoff
+        return HilbertSpec(self.n_modes, cutoff)
 
     def with_(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
 
 
-def _check_spec(p: ModelParams, spec: HilbertSpec):
+def check_spec(p: ModelParams, spec: HilbertSpec):
     if spec.n_modes != p.n_modes:
         raise ValueError(
             f"params have {p.n_modes} modes but space has {spec.n_modes}"
         )
 
 
-def build_effective_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the driven qubit + N-mode system."""
-    _check_spec(p, spec)
+def hamiltonian_parts(spec: HilbertSpec) -> list[np.ndarray]:
+    """Parameter-free Hermitian terms of the Hamiltonian, in the order of
+    :func:`hamiltonian_coefficients`: the total excitation number,
+    sum_j (m_j sigma_+ + m_j^dag sigma_-), sigma_+ + sigma_-,
+    -i sigma_+ + i sigma_- and sum_j (m_j + m_j^dag)."""
     sm = qubit_sigma_minus(spec)
     sp = sm.conj().T
-    h = p.delta * (sp @ sm)
-    drive_phase = np.exp(-1j * p.phase)
-    h = h + p.probe_rabi * (drive_phase * sp + np.conj(drive_phase) * sm)
-    for j in range(1, p.n_modes + 1):
-        m = mode_annihilation(j, spec)
-        md = m.conj().T
-        h = h + p.delta * (md @ m)
-        h = h + p.coupling * (m @ sp + md @ sm)
-        h = h + p.drive_rabi * (md + m)
-    return h
-
-
-def excitation_number(spec: HilbertSpec) -> np.ndarray:
-    """Total excitation number: qubit population plus every mode occupation."""
-    sm = qubit_sigma_minus(spec)
-    number = sm.conj().T @ sm
+    number, exchange, mode_drive = sp @ sm, np.zeros_like(sm), np.zeros_like(sm)
     for j in range(1, spec.n_modes + 1):
         m = mode_annihilation(j, spec)
         number = number + m.conj().T @ m
-    return number
+        exchange = exchange + (m @ sp + m.conj().T @ sm)
+        mode_drive = mode_drive + (m.conj().T + m)
+    return [number, exchange, sp + sm, -1j * sp + 1j * sm, mode_drive]
+
+
+def hamiltonian_coefficients(p: ModelParams) -> tuple[float, ...]:
+    """Real weights of :func:`hamiltonian_parts`: (Delta, J, Omega_q cos theta,
+    Omega_q sin theta, Omega_m)."""
+    q = p.probe_rabi
+    return (p.delta, p.coupling, q * math.cos(p.phase), q * math.sin(p.phase), p.drive_rabi)
+
+
+def build_effective_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
+    """Rotating-frame Hamiltonian of the driven qubit + N-mode system."""
+    check_spec(p, spec)
+    return sum(c * h for c, h in zip(hamiltonian_coefficients(p), hamiltonian_parts(spec)))
 
 
 def build_nonhermitian_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
     """Effective Hamiltonian minus i kappa/2 times the total excitation number."""
     h = build_effective_hamiltonian(p, spec)
-    return h - 0.5j * p.decay * excitation_number(spec)
+    return h - 0.5j * p.decay * hamiltonian_parts(spec)[0]
 
 
 def build_dissipators(
     p: ModelParams, spec: HilbertSpec
 ) -> list[tuple[np.ndarray, float]]:
     """Collapse channels: (sigma_minus, kappa) and one (m_j, kappa) per mode."""
-    _check_spec(p, spec)
+    check_spec(p, spec)
     channels = [(qubit_sigma_minus(spec), p.decay)]
     for j in range(1, p.n_modes + 1):
         channels.append((mode_annihilation(j, spec), p.decay))
@@ -232,6 +235,6 @@ def single_excitation_energies(p: ModelParams) -> np.ndarray:
     h = build_effective_hamiltonian(
         p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1), spec
     )
-    one = np.isclose(np.diag(excitation_number(spec)).real, 1.0)
+    one = np.isclose(np.diag(hamiltonian_parts(spec)[0]).real, 1.0)
     block = h[np.ix_(one, one)]
     return np.linalg.eigvalsh(block)

@@ -20,7 +20,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .model import ModelParams, build_dissipators, build_effective_hamiltonian
+from .model import (
+    ModelParams, build_dissipators, check_spec, hamiltonian_coefficients, hamiltonian_parts,
+)
 from .operators import DensityMatrix, HilbertSpec
 
 #: Largest Hilbert dimension D for which a D^2 x D^2 generator is built.
@@ -73,15 +75,45 @@ def liouvillian_matrix(
     return lv.tocsr()
 
 
+@functools.lru_cache(maxsize=32)
+def generator_parts(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix, np.ndarray]:
+    """(indptr, indices, values, imaginary): the generator's parameter-free parts.
+
+    Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
+    unit-rate dissipator of :func:`build_dissipators`' channels.  Row k of
+    the sparse float64 6 x nnz matrix values is part k on the CSR pattern
+    (indptr, indices), times 1j where imaginary[k].  The cached arrays are
+    shared by every caller: do not modify them.
+    """
+    n = spec.dim**2
+    unit_rate = build_dissipators(ModelParams(spec.n_modes, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), spec)
+    parts = [liouvillian_matrix(h, []).tocoo() for h in hamiltonian_parts(spec)]
+    parts.append(liouvillian_matrix(np.zeros((spec.dim, spec.dim)), unit_rate).tocoo())
+    imaginary = np.array([not np.any(part.data.real) for part in parts])
+    data = np.concatenate([p.data.imag if im else p.data.real for p, im in zip(parts, imaginary)])
+    rows, cols = np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts])
+    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(pattern.indptr)) + pattern.indices
+    position = np.searchsorted(keys, rows.astype(np.int64) * n + cols)
+    sizes = np.cumsum([0] + [part.nnz for part in parts])
+    values = sp.csr_matrix((data, position, sizes), shape=(len(parts), keys.size))
+    return pattern.indptr, pattern.indices, values, imaginary
+
+
 def build_liouvillian(p: ModelParams, spec: HilbertSpec | None = None) -> Liouvillian:
+    """Generator at p: the cached parts of its space, weighted by p."""
     spec = spec or p.hilbert_spec()
     if spec.dim > MAX_HILBERT_DIM:
         raise ValueError(
             f"Hilbert dimension {spec.dim} exceeds the generator cap "
             f"{MAX_HILBERT_DIM}; reduce the Fock cutoff or mode count"
         )
-    h = build_effective_hamiltonian(p, spec)
-    return Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
+    check_spec(p, spec)
+    indptr, indices, values, imaginary = generator_parts(spec)
+    weights = np.array([*hamiltonian_coefficients(p), p.decay]) * np.where(imaginary, 1j, 1.0)
+    n = spec.dim**2
+    matrix = sp.csr_matrix((values.T @ weights, indices.copy(), indptr.copy()), shape=(n, n))
+    return Liouvillian(matrix, spec)
 
 
 class SteadyStateError(RuntimeError):
@@ -120,8 +152,9 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     The modes share every parameter, so L commutes with each permutation of
     the modes and the unique steady state is permutation-invariant.  The
     solve therefore runs on the orbit coordinates x of v = P x, with P from
-    :func:`permutation_orbits`: the m x m system P^T L P x = 0, whose
-    orbit-0 row is traded for the trace condition.  Systems up to 4096 orbit
+    :func:`permutation_orbits`: the m x m system P^T L P x = 0, formed by
+    summing each entry of L into (label[row], label[col]), whose orbit-0
+    row is traded for the trace condition.  Systems up to 4096 orbit
     rows take a dense LU solve; larger ones a sparse LU factorization
     followed by one step of iterative refinement, which keeps the tiny
     multi-excitation moments of a blockade dip from drowning in round-off.
@@ -132,17 +165,21 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     """
     d = lv.dim
     orbits = permutation_orbits(lv.spec)
-    reduced = (orbits.T @ lv.matrix @ orbits).tocsr()
-    trace_row = sp.csr_matrix(orbits.T @ vectorize(np.eye(d, dtype=complex)))
-    mat = sp.vstack([trace_row, reduced[1:]], format="csc")
-    n = mat.shape[0]
+    labels, n = orbits.indices, orbits.shape[1]
+    # P^T L P: each entry of L summed into (label[row], label[col]).
+    rows = np.repeat(labels, np.diff(lv.matrix.indptr))
+    reduced = sp.coo_matrix((lv.matrix.data, (rows, labels[lv.matrix.indices])), shape=(n, n))
+    trace = np.bincount(labels[np.arange(d) * (d + 1)], minlength=n)
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
 
     try:
         if n <= 4096:
-            x = np.linalg.solve(mat.toarray(), rhs)
+            mat = reduced.toarray()
+            mat[0] = trace
+            x = np.linalg.solve(mat, rhs)
         else:
+            mat = sp.vstack([sp.csr_matrix(trace), reduced.tocsr()[1:]], format="csc")
             lu = spla.splu(mat)
             x = lu.solve(rhs)
             x += lu.solve(rhs - mat @ x)
@@ -150,7 +187,7 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
         raise SteadyStateError(
             f"non-unique steady state: row-replaced generator is singular ({exc})"
         ) from exc
-    v = orbits @ x
+    v = x[labels]
 
     l_norm = spla.norm(lv.matrix)
     residual = np.linalg.norm(lv.matrix @ v)

@@ -13,7 +13,7 @@ from magnon_blockade.model import (
     params_from_cavity_mediated,
     single_excitation_energies,
 )
-from magnon_blockade.operators import mode_annihilation, qubit_sigma_minus
+from magnon_blockade.operators import HilbertSpec, mode_annihilation, qubit_sigma_minus
 
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
@@ -54,6 +54,11 @@ class TestModelParams:
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValueError, match="fock_cutoff"):
             ModelParams(1, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=0)
+
+    def test_hilbert_spec_takes_cutoff_zero(self):
+        p = ModelParams(2, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=3)
+        assert p.hilbert_spec(0) == HilbertSpec(2, 0)
+        assert p.hilbert_spec() == HilbertSpec(2, 3)
 
     def test_with_returns_modified_copy(self):
         p = fig2_params()

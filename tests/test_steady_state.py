@@ -17,6 +17,7 @@ from magnon_blockade.steady_state import (
     build_liouvillian,
     converge_truncation,
     evolve_to_steady_state,
+    generator_parts,
     liouvillian_matrix,
     permutation_orbits,
     solve_steady_state,
@@ -112,6 +113,63 @@ class TestBuildLiouvillian:
         assert lv.matrix.shape == (36, 36)
         assert lv.dim == 6
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n_modes=st.integers(1, 3),
+        cutoff=st.integers(1, 3),
+        delta=st.floats(-60.0, 60.0),
+        coupling=st.floats(0.0, 40.0),
+        probe=st.floats(0.0, 2.0),
+        drive=st.floats(0.0, 2.0),
+        phase=st.floats(-math.pi, math.pi),
+        decay=st.floats(0.05, 3.0),
+    )
+    @example(n_modes=2, cutoff=2, delta=3.0, coupling=0.0, probe=0.0, drive=0.0,
+             phase=0.5, decay=1.0)
+    @example(n_modes=3, cutoff=1, delta=0.0, coupling=20.0, probe=0.3, drive=0.1,
+             phase=-math.pi, decay=0.5)
+    def test_matches_explicit_operator_formula(
+        self, n_modes, cutoff, delta, coupling, probe, drive, phase, decay
+    ):
+        # The cached parts weighted by one point's parameters give the
+        # generator of H written out term by term plus explicit channels.
+        p = ModelParams(n_modes, delta, coupling, probe, drive, phase, decay, cutoff)
+        spec = p.hilbert_spec()
+        sm = qubit_sigma_minus(spec)
+        sp_ = sm.conj().T
+        h = delta * (sp_ @ sm) + probe * (np.exp(-1j * phase) * sp_ + np.exp(1j * phase) * sm)
+        channels = [(sm, decay)]
+        for j in range(1, n_modes + 1):
+            m = mode_annihilation(j, spec)
+            h = h + delta * (m.conj().T @ m) + coupling * (m @ sp_ + m.conj().T @ sm)
+            h = h + drive * (m.conj().T + m)
+            channels.append((m, decay))
+        expected = liouvillian_matrix(h, channels)
+        got = build_liouvillian(p).matrix
+        assert abs(got - expected).max() <= 1e-14 * abs(expected).max()
+
+    def test_cache_holds_no_point(self):
+        # A build after another point of the same space equals a build from
+        # an empty cache, bit for bit.
+        p = ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)
+        q = p.with_(delta=31.0, coupling=17.0, probe_rabi=0.4, phase=-1.2, decay=0.9)
+        build_liouvillian(p)
+        after_p = build_liouvillian(q).matrix
+        generator_parts.cache_clear()
+        fresh = build_liouvillian(q).matrix
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(after_p, attr), getattr(fresh, attr))
+
+    def test_editing_a_result_leaves_the_cache_alone(self):
+        p = ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)
+        first = build_liouvillian(p).matrix
+        want = first.copy()
+        first.data *= 2.0
+        first.indices[:] = 0
+        again = build_liouvillian(p).matrix
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(again, attr), getattr(want, attr))
+
 
 class TestSolveSteadyState:
     def test_undriven_system_relaxes_to_vacuum(self):
@@ -154,12 +212,18 @@ class TestSolveSteadyState:
         assert trace_distance(direct.matrix, evolved.matrix) < 1e-7
 
     def test_two_mode_symmetry(self):
-        p = ModelParams(
-            2, np.sqrt(2) * 20.0, 20.0, 3 * np.sqrt(2) * 0.05, 0.05, 0.0, 0.5,
-            fock_cutoff=2,
-        )
-        rho = solve_steady_state(build_liouvillian(p))
-        assert abs(mode_occupation(rho, 1) - mode_occupation(rho, 2)) < 1e-10
+        # The symmetric-sector solve is mode-symmetric by construction, so
+        # the check runs on the full-generator solve, where a generator that
+        # breaks mode exchange would show.
+        for n_modes in (2, 3):
+            root_n = np.sqrt(n_modes)
+            p = ModelParams(
+                n_modes, root_n * 20.0, 20.0, 3 * root_n * 0.05, 0.05, 0.0, 0.5,
+                fock_cutoff=2,
+            )
+            rho = full_space_solve(build_liouvillian(p))
+            for j in range(2, n_modes + 1):
+                assert abs(mode_occupation(rho, 1) - mode_occupation(rho, j)) < 1e-10
 
     def test_sparse_branch_resolves_blockade_dip(self):
         # Cutoff 32 gives 66^2 = 4356 rows, past the dense branch.  Near the
