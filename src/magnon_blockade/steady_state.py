@@ -128,8 +128,9 @@ def permutation_orbits(spec: HilbertSpec) -> sp.csr_matrix:
     and their per-mode pairs (a_k, b_k) agree as multisets.  Column o marks
     the indices of orbit o; orbits are numbered by their first vec index, so
     orbit 0 is the ground-state projector alone and at N = 1 the matrix is
-    the identity.  The cached matrix is shared by every caller: do not
-    modify it.
+    the identity.  The transposes |j><i| of orbit o form one orbit t(o),
+    which :func:`hermitian_coordinates` pairs with o.  The cached matrix is
+    shared by every caller: do not modify it.
     """
     d = spec.dim
     digits = np.indices(spec.dims).reshape(len(spec.dims), d)
@@ -146,48 +147,76 @@ def permutation_orbits(spec: HilbertSpec) -> sp.csr_matrix:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def hermitian_coordinates(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(W, E): m real coordinates y of the Hermitian permutation-invariant states.
+
+    Orbits o and t(o) hold conjugate values, so x_o = y_o when o = t(o), and
+    x_o = y_o + i y_t(o) and x_t(o) = y_o - i y_t(o) when o < t(o); v = W y.
+    Row o of E sums over orbit o for o <= t(o), and row t(o) is that sum
+    times -i for o < t(o), so Re(E L W) y = 0 holds the real and imaginary
+    parts of the orbit equations.  The cached matrices are shared and
+    read-only.
+    """
+    d, orbits = spec.dim, permutation_orbits(spec)
+    labels, m = orbits.indices, orbits.shape[1]
+    k, o = np.arange(d * d), np.arange(m)
+    t = np.empty(m, dtype=np.intp)
+    t[labels] = labels[(k % d) * d + k // d]
+    lo, hi = np.minimum(o, t), np.maximum(o, t)
+    c = sp.csr_matrix(
+        (np.r_[np.ones(m), 1j * np.sign(t - o)], (np.r_[o, o], np.r_[lo, hi])), shape=(m, m)
+    )
+    f = sp.csr_matrix((np.where(o <= t, 1, -1j), (o, lo)), shape=(m, m))
+    w, e = (orbits @ c).tocsr(), (f @ orbits.T).tocsr()
+    for mat in (w, e):
+        mat.sort_indices()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+    return w, e
+
+
 def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     """Unique steady state via L vec(rho) = 0 with one row traded for trace = 1.
 
-    The modes share every parameter, so L commutes with each permutation of
-    the modes and the unique steady state is permutation-invariant.  The
-    solve therefore runs on the orbit coordinates x of v = P x, with P from
-    :func:`permutation_orbits`: the m x m system P^T L P x = 0, formed by
-    summing each entry of L into (label[row], label[col]), whose orbit-0
-    row is traded for the trace condition.  Systems up to 4096 orbit
-    rows take a dense LU solve; larger ones a sparse LU factorization
-    followed by one step of iterative refinement, which keeps the tiny
-    multi-excitation moments of a blockade dip from drowning in round-off.
-    Raises SteadyStateError when the row-replaced system is singular (the
-    steady state is not unique) or the residual of v on the full generator
-    exceeds RESIDUAL_RTOL * ||L||, as it does for a generator that is not
-    symmetric under mode exchange.
+    The modes share every parameter and L preserves Hermiticity, so the
+    unique steady state is a permutation-invariant Hermitian matrix.  The
+    solve runs on its m real coordinates y of v = W y, from
+    :func:`hermitian_coordinates`: the real m x m system Re(E L W) y = 0,
+    its orbit-0 row traded for the trace condition Re(vec(I)^T W) y = 1.
+    The unknowns stay in orbit order: grouping real and imaginary parts
+    apart gives the same entries, but partial pivoting then loses the tiny
+    multi-excitation moments of a blockade dip.  Up to 4096 rows take a
+    dense LU solve; larger systems a sparse LU factorization followed by
+    one step of iterative refinement, which keeps those moments from
+    drowning in round-off.  Raises SteadyStateError when the row-replaced
+    system is singular (the steady state is not unique) or the residual of
+    v on the full generator exceeds RESIDUAL_RTOL * ||L||, as it does for a
+    generator that breaks mode exchange or Hermiticity.
     """
     d = lv.dim
-    orbits = permutation_orbits(lv.spec)
-    labels, n = orbits.indices, orbits.shape[1]
-    # P^T L P: each entry of L summed into (label[row], label[col]).
-    rows = np.repeat(labels, np.diff(lv.matrix.indptr))
-    reduced = sp.coo_matrix((lv.matrix.data, (rows, labels[lv.matrix.indices])), shape=(n, n))
-    trace = np.bincount(labels[np.arange(d) * (d + 1)], minlength=n)
-    rhs = np.zeros(n, dtype=complex)
+    w, e = hermitian_coordinates(lv.spec)
+    n = w.shape[1]
+    reduced = (e @ lv.matrix @ w).real
+    trace = (vectorize(np.eye(d)) @ w).real
+    rhs = np.zeros(n)
     rhs[0] = 1.0
 
     try:
         if n <= 4096:
             mat = reduced.toarray()
             mat[0] = trace
-            x = np.linalg.solve(mat, rhs)
+            y = np.linalg.solve(mat, rhs)
         else:
             mat = sp.vstack([sp.csr_matrix(trace), reduced.tocsr()[1:]], format="csc")
             lu = spla.splu(mat)
-            x = lu.solve(rhs)
-            x += lu.solve(rhs - mat @ x)
+            y = lu.solve(rhs)
+            y += lu.solve(rhs - mat @ y)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SteadyStateError(
             f"non-unique steady state: row-replaced generator is singular ({exc})"
         ) from exc
-    v = x[labels]
+    v = w @ y
 
     l_norm = spla.norm(lv.matrix)
     residual = np.linalg.norm(lv.matrix @ v)
@@ -195,11 +224,12 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
             f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}; "
-            "the solve assumes a generator symmetric under mode exchange"
+            "the solve assumes a generator symmetric under mode exchange "
+            "that preserves Hermiticity"
         )
 
     rho = unvectorize(v, d)
-    rho = rho / np.trace(rho)
+    rho = rho / np.trace(rho).real
     return DensityMatrix(rho, lv.spec)
 
 

@@ -18,6 +18,7 @@ from magnon_blockade.steady_state import (
     converge_truncation,
     evolve_to_steady_state,
     generator_parts,
+    hermitian_coordinates,
     liouvillian_matrix,
     permutation_orbits,
     solve_steady_state,
@@ -283,6 +284,78 @@ class TestPermutationOrbits:
         assert orbit(g10, g10) != orbit(g10, g01)
 
 
+def swap_first_modes(rho: np.ndarray, spec: HilbertSpec) -> np.ndarray:
+    """rho with modes 1 and 2 exchanged."""
+    axes = list(range(2 * len(spec.dims)))
+    for offset in (0, len(spec.dims)):
+        axes[offset + 1], axes[offset + 2] = axes[offset + 2], axes[offset + 1]
+    return rho.reshape(spec.dims * 2).transpose(axes).reshape(rho.shape)
+
+
+def transpose_partners(spec: HilbertSpec) -> np.ndarray:
+    """t(o): the orbit of the transposed entries of orbit o."""
+    labels, d = permutation_orbits(spec).indices, spec.dim
+    k = np.arange(d * d)
+    partner = np.empty(labels.max() + 1, dtype=np.intp)
+    partner[labels] = labels[(k % d) * d + k // d]
+    return partner
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 2), (2, 2), (3, 1), (2, 4)])
+    def test_one_real_unknown_per_orbit(self, n_modes, cutoff):
+        spec = HilbertSpec(n_modes, cutoff)
+        w, e = hermitian_coordinates(spec)
+        m = permutation_orbits(spec).shape[1]
+        assert w.shape == (spec.dim**2, m)
+        assert e.shape == (m, spec.dim**2)
+        partner = transpose_partners(spec)
+        self_conjugate = np.count_nonzero(partner == np.arange(m))
+        pairs = np.count_nonzero(partner > np.arange(m))
+        assert self_conjugate + 2 * pairs == m
+        # W^H W is diagonal and positive: W has full column rank.
+        gram = (w.conj().T @ w).toarray()
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+        assert np.all(np.diag(gram).real > 0)
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 3), (2, 2), (3, 1)])
+    def test_states_are_hermitian_and_mode_symmetric(self, n_modes, cutoff):
+        spec = HilbertSpec(n_modes, cutoff)
+        w, _ = hermitian_coordinates(spec)
+        y = np.random.default_rng(n_modes).normal(size=w.shape[1])
+        rho = unvectorize(w @ y, spec.dim)
+        assert np.array_equal(rho, rho.conj().T)
+        if n_modes > 1:
+            assert np.array_equal(swap_first_modes(rho, spec), rho)
+
+    def test_equations_are_real_and_imaginary_orbit_sums(self):
+        # Row o of Re(E X) is the real part of the orbit-o sum of X for
+        # o <= t(o), and its imaginary part on row t(o) for o < t(o).
+        spec = HilbertSpec(2, 1)
+        _, e = hermitian_coordinates(spec)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=spec.dim**2) + 1j * rng.normal(size=spec.dim**2)
+        sums = permutation_orbits(spec).T @ x
+        got = (e @ x).real
+        for o, t in enumerate(transpose_partners(spec)):
+            want = sums[o].real if o <= t else sums[t].imag
+            assert got[o] == pytest.approx(want, abs=1e-14)
+
+    def test_cache_survives_an_edit_of_a_result(self):
+        spec = HilbertSpec(2, 2)
+        w, e = hermitian_coordinates(spec)
+        want = [w.copy(), e.copy()]
+        for mat in (w, e):
+            with pytest.raises(ValueError, match="read-only"):
+                mat.data *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                mat.indices[:] = 0
+        hermitian_coordinates.cache_clear()
+        for got, ref in zip(hermitian_coordinates(spec), want):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
 # (N, cutoff) of the full-space oracle runs: N = 2 and 3 take a dense LU
 # over up to 2500 and 2916 rows per example; N = 1 at cutoff 32 takes the
 # sparse branch.
@@ -319,14 +392,15 @@ class TestSymmetricSectorOracle:
         lv = build_liouvillian(p)
         reduced = solve_steady_state(lv)
         full = full_space_solve(lv)
-        if n_modes == 1:
-            assert np.array_equal(reduced.matrix, full.matrix)
-            return
-        assert trace_distance(reduced.matrix, full.matrix) <= 1e-12
+        assert np.array_equal(reduced.matrix, reduced.matrix.conj().T)
+        # At N = 1 every orbit is one entry, so the two solves differ only
+        # by the real LU on Hermitian coordinates against the complex one.
+        distance, decades, rel = (1e-14, 1e-8, 1e-12) if n_modes == 1 else (1e-12, 1e-3, 1e-9)
+        assert trace_distance(reduced.matrix, full.matrix) <= distance
         got, want = blockade_metrics(reduced), blockade_metrics(full)
-        assert abs(math.log10(got.g2_zero) - math.log10(want.g2_zero)) <= 1e-3
-        assert got.p1 == pytest.approx(want.p1, rel=1e-9)
-        assert got.occupation == pytest.approx(want.occupation, rel=1e-9)
+        assert abs(math.log10(got.g2_zero) - math.log10(want.g2_zero)) <= decades
+        assert got.p1 == pytest.approx(want.p1, rel=rel)
+        assert got.occupation == pytest.approx(want.occupation, rel=rel)
 
     def test_asymmetric_generator_fails_clearly(self):
         # Couplings 20 and 15: the steady state exists and is unique, but it
@@ -340,6 +414,23 @@ class TestSymmetricSectorOracle:
         lv = Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
         full_space_solve(lv).validate()
         with pytest.raises(SteadyStateError, match="symmetric under mode exchange"):
+            solve_steady_state(lv)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.1])
+    def test_hermiticity_breaking_generator_fails_clearly(self, eps):
+        # H + i eps sum_j (m_j + m_j^dag) keeps the trace and the mode
+        # symmetry, but its steady state is not Hermitian, so the solve over
+        # Hermitian coordinates misses it.
+        p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 2)
+        spec = p.hilbert_spec()
+        h = build_effective_hamiltonian(p, spec)
+        for j in (1, 2):
+            m = mode_annihilation(j, spec)
+            h = h + 1j * eps * (m + m.conj().T)
+        lv = Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
+        full = full_space_solve(lv).matrix
+        assert np.max(np.abs(full - full.conj().T)) > eps
+        with pytest.raises(SteadyStateError, match="preserves Hermiticity"):
             solve_steady_state(lv)
 
 
