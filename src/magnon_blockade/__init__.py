@@ -19,7 +19,6 @@ from .model import (
     ModelParams,
     build_dissipators,
     build_effective_hamiltonian,
-    build_nonhermitian_hamiltonian,
     derive_effective_params,
 )
 from .observables import (
@@ -70,7 +69,6 @@ __all__ = [
     "build_dissipators",
     "build_effective_hamiltonian",
     "build_liouvillian",
-    "build_nonhermitian_hamiltonian",
     "classify_statistics",
     "converge_truncation",
     "derive_effective_params",

@@ -96,7 +96,9 @@ def _add_param_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--drive-rabi", type=float, dest="drive_rabi")
     parser.add_argument("--phase", type=float)
     parser.add_argument("--decay", type=float)
-    parser.add_argument("--fock-cutoff", type=int, dest="fock_cutoff")
+    parser.add_argument("--fock-cutoff", type=int, dest="fock_cutoff", help=(
+        "Fock cutoff of `steady g2` without --converge and of numeric `optimize` "
+        "(default 4); numeric `sweep` rows escalate from 2 to 8 and ignore it"))
 
 
 def _collect_params(args) -> ModelParams:
@@ -303,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--engine", default="numeric", choices=("numeric", "analytic"))
     opt.set_defaults(func=cmd_optimize)
 
-    scaling = sub.add_parser("verify-scaling",
-                             help="fit sqrt(N) scaling of the optimal conditions")
+    scaling = sub.add_parser("verify-scaling", help="fit sqrt(N) scaling of the "
+                             "optimal conditions at Fock cutoff 2")
     scaling.add_argument("--n-list", default="1,2,3", dest="n_list")
     scaling.add_argument("--r", type=float, default=0.025)
     scaling.add_argument("--coupling", type=float, default=20.0)

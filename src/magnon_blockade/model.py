@@ -51,19 +51,11 @@ class ModelParams:
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be at least 1")
 
-    def hilbert_spec(self, fock_cutoff: int | None = None) -> HilbertSpec:
-        cutoff = self.fock_cutoff if fock_cutoff is None else fock_cutoff
-        return HilbertSpec(self.n_modes, cutoff)
+    def hilbert_spec(self) -> HilbertSpec:
+        return HilbertSpec(self.n_modes, self.fock_cutoff)
 
     def with_(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
-
-
-def check_spec(p: ModelParams, spec: HilbertSpec):
-    if spec.n_modes != p.n_modes:
-        raise ValueError(
-            f"params have {p.n_modes} modes but space has {spec.n_modes}"
-        )
 
 
 def hamiltonian_parts(spec: HilbertSpec) -> list[np.ndarray]:
@@ -89,27 +81,17 @@ def hamiltonian_coefficients(p: ModelParams) -> tuple[float, ...]:
     return (p.delta, p.coupling, q * math.cos(p.phase), q * math.sin(p.phase), p.drive_rabi)
 
 
-def build_effective_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
+def build_effective_hamiltonian(p: ModelParams) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven qubit + N-mode system."""
-    check_spec(p, spec)
-    return sum(c * h for c, h in zip(hamiltonian_coefficients(p), hamiltonian_parts(spec)))
+    parts = hamiltonian_parts(p.hilbert_spec())
+    return sum(c * h for c, h in zip(hamiltonian_coefficients(p), parts))
 
 
-def build_nonhermitian_hamiltonian(p: ModelParams, spec: HilbertSpec) -> np.ndarray:
-    """Effective Hamiltonian minus i kappa/2 times the total excitation number."""
-    h = build_effective_hamiltonian(p, spec)
-    return h - 0.5j * p.decay * hamiltonian_parts(spec)[0]
-
-
-def build_dissipators(
-    p: ModelParams, spec: HilbertSpec
-) -> list[tuple[np.ndarray, float]]:
-    """Collapse channels: (sigma_minus, kappa) and one (m_j, kappa) per mode."""
-    check_spec(p, spec)
-    channels = [(qubit_sigma_minus(spec), p.decay)]
-    for j in range(1, p.n_modes + 1):
-        channels.append((mode_annihilation(j, spec), p.decay))
-    return channels
+def build_dissipators(spec: HilbertSpec) -> list[np.ndarray]:
+    """Collapse operators [sigma_minus, m_1, ..., m_N]; each decays at rate kappa."""
+    return [qubit_sigma_minus(spec)] + [
+        mode_annihilation(j, spec) for j in range(1, spec.n_modes + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -231,10 +213,8 @@ def single_excitation_energies(p: ModelParams) -> np.ndarray:
     The N degenerate modes hybridize with the qubit into one bright pair at
     delta +- sqrt(N) J and N - 1 dark states at delta.
     """
-    spec = p.hilbert_spec(fock_cutoff=1)
-    h = build_effective_hamiltonian(
-        p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1), spec
-    )
-    one = np.isclose(np.diag(hamiltonian_parts(spec)[0]).real, 1.0)
+    q = p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1)
+    h = build_effective_hamiltonian(q)
+    one = np.isclose(np.diag(hamiltonian_parts(q.hilbert_spec())[0]).real, 1.0)
     block = h[np.ix_(one, one)]
     return np.linalg.eigvalsh(block)

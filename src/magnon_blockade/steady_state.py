@@ -20,9 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .model import (
-    ModelParams, build_dissipators, check_spec, hamiltonian_coefficients, hamiltonian_parts,
-)
+from .model import ModelParams, build_dissipators, hamiltonian_coefficients, hamiltonian_parts
 from .operators import DensityMatrix, HilbertSpec
 
 #: Largest Hilbert dimension D for which a D^2 x D^2 generator is built.
@@ -30,6 +28,9 @@ MAX_HILBERT_DIM = 500
 
 #: Residual bound for the direct solve, relative to the generator norm.
 RESIDUAL_RTOL = 1e-10
+
+#: Largest real system solve_steady_state factors densely; larger ones take sparse LU.
+DENSE_SOLVE_MAX_ROWS = 4096
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -76,41 +77,40 @@ def liouvillian_matrix(
 
 
 @functools.lru_cache(maxsize=32)
-def generator_parts(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix, np.ndarray]:
-    """(indptr, indices, values, imaginary): the generator's parameter-free parts.
+def generator_parts(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """(indptr, indices, values): the generator's parameter-free parts.
 
     Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
-    unit-rate dissipator of :func:`build_dissipators`' channels.  Row k of
-    the sparse float64 6 x nnz matrix values is part k on the CSR pattern
-    (indptr, indices), times 1j where imaginary[k].  The cached arrays are
-    shared by every caller: do not modify them.
+    dissipator of the collapse operators of :func:`build_dissipators` at
+    unit rate.  Row k of the complex sparse 6 x nnz matrix values is part k
+    on the CSR pattern (indptr, indices); weighted by the coefficients of
+    :func:`hamiltonian_coefficients` and kappa, the rows sum to L.  The
+    cached arrays are shared by every caller: do not modify them.
     """
     n = spec.dim**2
-    unit_rate = build_dissipators(ModelParams(spec.n_modes, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), spec)
     parts = [liouvillian_matrix(h, []).tocoo() for h in hamiltonian_parts(spec)]
+    unit_rate = [(o, 1.0) for o in build_dissipators(spec)]
     parts.append(liouvillian_matrix(np.zeros((spec.dim, spec.dim)), unit_rate).tocoo())
-    imaginary = np.array([not np.any(part.data.real) for part in parts])
-    data = np.concatenate([p.data.imag if im else p.data.real for p, im in zip(parts, imaginary)])
+    data = np.concatenate([p.data for p in parts])
     rows, cols = np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts])
     pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(pattern.indptr)) + pattern.indices
     position = np.searchsorted(keys, rows.astype(np.int64) * n + cols)
     sizes = np.cumsum([0] + [part.nnz for part in parts])
     values = sp.csr_matrix((data, position, sizes), shape=(len(parts), keys.size))
-    return pattern.indptr, pattern.indices, values, imaginary
+    return pattern.indptr, pattern.indices, values
 
 
-def build_liouvillian(p: ModelParams, spec: HilbertSpec | None = None) -> Liouvillian:
-    """Generator at p: the cached parts of its space, weighted by p."""
-    spec = spec or p.hilbert_spec()
+def build_liouvillian(p: ModelParams) -> Liouvillian:
+    """Generator at p: the cached parts of p's space, weighted by p."""
+    spec = p.hilbert_spec()
     if spec.dim > MAX_HILBERT_DIM:
         raise ValueError(
             f"Hilbert dimension {spec.dim} exceeds the generator cap "
             f"{MAX_HILBERT_DIM}; reduce the Fock cutoff or mode count"
         )
-    check_spec(p, spec)
-    indptr, indices, values, imaginary = generator_parts(spec)
-    weights = np.array([*hamiltonian_coefficients(p), p.decay]) * np.where(imaginary, 1j, 1.0)
+    indptr, indices, values = generator_parts(spec)
+    weights = np.array([*hamiltonian_coefficients(p), p.decay])
     n = spec.dim**2
     matrix = sp.csr_matrix((values.T @ weights, indices.copy(), indptr.copy()), shape=(n, n))
     return Liouvillian(matrix, spec)
@@ -186,10 +186,10 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     its orbit-0 row traded for the trace condition Re(vec(I)^T W) y = 1.
     The unknowns stay in orbit order: grouping real and imaginary parts
     apart gives the same entries, but partial pivoting then loses the tiny
-    multi-excitation moments of a blockade dip.  Up to 4096 rows take a
-    dense LU solve; larger systems a sparse LU factorization followed by
-    one step of iterative refinement, which keeps those moments from
-    drowning in round-off.  Raises SteadyStateError when the row-replaced
+    multi-excitation moments of a blockade dip.  Up to DENSE_SOLVE_MAX_ROWS
+    rows take a dense LU solve; larger systems a sparse LU factorization
+    followed by one step of iterative refinement, which keeps those moments
+    from drowning in round-off.  Raises SteadyStateError when the row-replaced
     system is singular (the steady state is not unique) or the residual of
     v on the full generator exceeds RESIDUAL_RTOL * ||L||, as it does for a
     generator that breaks mode exchange or Hermiticity.
@@ -203,7 +203,7 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     rhs[0] = 1.0
 
     try:
-        if n <= 4096:
+        if n <= DENSE_SOLVE_MAX_ROWS:
             mat = reduced.toarray()
             mat[0] = trace
             y = np.linalg.solve(mat, rhs)
@@ -238,27 +238,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(w)))
 
 
-def evolve_to_steady_state(
-    p: ModelParams,
-    rho0: DensityMatrix,
-    t_final: float | None = None,
-    dt_checkpoint: float | None = None,
-    settle_tol: float = 1e-9,
-    max_time_factor: float = 400.0,
-) -> DensityMatrix:
-    """Integrate the master equation until the state settles.
+def evolve_to_steady_state(p: ModelParams, rho0: DensityMatrix) -> DensityMatrix:
+    """Integrate the master equation from rho0 until the state settles.
 
     Independent oracle for :func:`solve_steady_state`.  Runs an adaptive
-    explicit Runge-Kutta scheme in checkpoint chunks; integration continues
-    past t_final (default 20 / kappa) until the trace distance between
-    successive checkpoints drops below settle_tol, and fails if that
-    distance stops decreasing.
+    explicit Runge-Kutta scheme in checkpoints of 5 / kappa; integration
+    runs at least 20 / kappa and until the trace distance between
+    successive checkpoints drops below 1e-9, and fails past 400 / kappa,
+    naming whether that distance had stopped decreasing.  Raises ValueError
+    when rho0 does not live in p's space.
     """
-    spec = rho0.spec
-    lv = build_liouvillian(p, spec)
-    t_final = t_final if t_final is not None else 20.0 / p.decay
-    chunk = dt_checkpoint if dt_checkpoint is not None else 5.0 / p.decay
-    mat = lv.matrix
+    spec = p.hilbert_spec()
+    if rho0.spec != spec:
+        raise ValueError(f"initial state lives in {rho0.spec}, but the parameters fix {spec}")
+    t_min, t_max, chunk, settle_tol = 20.0 / p.decay, 400.0 / p.decay, 5.0 / p.decay, 1e-9
+    mat = build_liouvillian(p).matrix
 
     def rhs(_t, v):
         return mat @ v
@@ -283,9 +277,9 @@ def evolve_to_steady_state(
         t += chunk
         cur = unvectorize(v, spec.dim)
         dist = trace_distance(cur, prev)
-        if t >= t_final and dist < settle_tol:
+        if t >= t_min and dist < settle_tol:
             break
-        if t > max_time_factor / p.decay:
+        if t > t_max:
             if dist >= last_dist:
                 raise SteadyStateError(
                     "time evolution is not converging to a steady state "
@@ -293,7 +287,7 @@ def evolve_to_steady_state(
                 )
             raise SteadyStateError(
                 f"time evolution did not settle below {settle_tol:.1e} "
-                f"within t = {max_time_factor}/kappa (distance {dist:.3e})"
+                f"within t = 400/kappa (distance {dist:.3e})"
             )
         prev = cur
         last_dist = dist

@@ -179,7 +179,6 @@ def find_minimum(
     engine: str = "numeric",
     n_scan: int = 33,
     rel_tol: float = 1e-5,
-    probe_tracks_drive: float | None = None,
 ) -> tuple[float, float]:
     """Locate the g2 minimum along one axis inside the bracket.
 
@@ -192,7 +191,7 @@ def find_minimum(
     evaluator = numeric_g2 if engine == "numeric" else analytic_g2
 
     def f(v: float) -> float:
-        return evaluator(apply_axis(base, axis, v, probe_tracks_drive))
+        return evaluator(apply_axis(base, axis, v))
 
     lo, hi = bracket
     xs = np.linspace(lo, hi, n_scan)
@@ -222,22 +221,16 @@ class ScalingReport:
     exponents: dict = field(default_factory=dict)
 
 
-def verify_scaling(
-    n_list=(1, 2, 3),
-    r: float = 0.025,
-    coupling: float = 20.0,
-    drive: float = 0.001,
-    rounds: int = 2,
-    fock_cutoff: int = 2,
-) -> ScalingReport:
+def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -> ScalingReport:
     """Locate the numeric blockade optimum per mode count and fit its scaling.
 
-    For each N the optimal (detuning, probe, phase) triple is found by
-    coordinate descent with golden-section line searches on the numeric g2;
-    the three optimized ratios are then regressed against N on log-log
-    axes.  Expected exponents: +1/2, +1/2, -1/2.
+    For each N the optimal (detuning, probe, phase) triple is found by two
+    rounds of coordinate descent with golden-section line searches on the
+    numeric g2, at drive 0.001 and Fock cutoff 2; the three optimized ratios
+    are then regressed against N on log-log axes.  Expected exponents:
+    +1/2, +1/2, -1/2.
     """
-    kappa = r * coupling
+    kappa, drive = r * coupling, 0.001
     entries = []
     for n in n_list:
         root_n = math.sqrt(n)
@@ -250,11 +243,11 @@ def verify_scaling(
             drive_rabi=drive,
             phase=theta0,
             decay=kappa,
-            fock_cutoff=fock_cutoff,
+            fock_cutoff=2,
         )
         try:
             best = math.inf
-            for _ in range(rounds):
+            for _ in range(2):
                 d, _ = find_minimum(
                     p, "delta_over_j",
                     (0.7 * root_n, 1.3 * root_n),

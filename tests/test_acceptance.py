@@ -295,8 +295,12 @@ def test_criterion_9_property_suite():
             checks.append((False, f"invalid steady state: {exc}"))
 
     # Direct solve agrees with time evolution on random weak-drive draws.
+    # Time evolution assumes no mode symmetry, so its N = 2 states carry the
+    # mode-exchange check; the symmetric-sector solve is symmetric by
+    # construction.  Their occupations are ~1e-8, so the asymmetry is taken
+    # relative to the occupation.
     rng = np.random.default_rng(2026)
-    worst = 0.0
+    worst = asym = 0.0
     for k in range(10):
         n_modes = 2 if k >= 8 else 1
         coupling = rng.uniform(5.0, 40.0)
@@ -316,16 +320,13 @@ def test_criterion_9_property_suite():
         vac[0, 0] = 1.0
         evolved = evolve_to_steady_state(p, DensityMatrix(vac, spec))
         worst = max(worst, trace_distance(direct.matrix, evolved.matrix))
+        if n_modes == 2:
+            n1, n2 = mode_occupation(evolved, 1), mode_occupation(evolved, 2)
+            asym = max(asym, abs(n1 - n2) / (n1 + n2))
     checks.append(
         (worst <= 1e-6, f"solve-vs-evolve distance {worst:.2e} > 1e-6")
     )
-
-    # Mode exchange symmetry of the two-mode steady state.
-    rho = solve_steady_state(
-        build_liouvillian(two_mode_params(0.05, 0.005, fock_cutoff=3))
-    )
-    asym = abs(mode_occupation(rho, 1) - mode_occupation(rho, 2))
-    checks.append((asym <= 1e-8, f"mode asymmetry {asym:.2e} > 1e-8"))
+    checks.append((asym <= 1e-8, f"relative mode asymmetry {asym:.2e} > 1e-8"))
 
     # Analytic model tracks the numerics in the weak-drive regime on the
     # published phase grids (figure-resolution sampling).

@@ -8,7 +8,6 @@ from magnon_blockade.model import (
     ModelParams,
     build_dissipators,
     build_effective_hamiltonian,
-    build_nonhermitian_hamiltonian,
     derive_effective_params,
     params_from_cavity_mediated,
     single_excitation_energies,
@@ -55,10 +54,10 @@ class TestModelParams:
         with pytest.raises(ValueError, match="fock_cutoff"):
             ModelParams(1, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=0)
 
-    def test_hilbert_spec_takes_cutoff_zero(self):
+    def test_hilbert_spec_is_modes_and_cutoff(self):
         p = ModelParams(2, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=3)
-        assert p.hilbert_spec(0) == HilbertSpec(2, 0)
         assert p.hilbert_spec() == HilbertSpec(2, 3)
+        assert p.with_(n_modes=3, fock_cutoff=1).hilbert_spec() == HilbertSpec(3, 1)
 
     def test_with_returns_modified_copy(self):
         p = fig2_params()
@@ -71,12 +70,12 @@ class TestModelParams:
 class TestEffectiveHamiltonian:
     def test_hermitian(self):
         p = fig2_params(phase=0.3)
-        h = build_effective_hamiltonian(p, p.hilbert_spec())
+        h = build_effective_hamiltonian(p)
         assert np.array_equal(h, h.conj().T)
 
     def test_zero_parameters_zero_matrix(self):
         p = ModelParams(1, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, fock_cutoff=2)
-        h = build_effective_hamiltonian(p, p.hilbert_spec())
+        h = build_effective_hamiltonian(p)
         assert np.array_equal(h, np.zeros_like(h))
 
     def test_matches_operator_formula(self):
@@ -93,49 +92,28 @@ class TestEffectiveHamiltonian:
             expected = expected + p.delta * (m.conj().T @ m)
             expected = expected + p.coupling * (m @ sp_ + m.conj().T @ sm)
             expected = expected + p.drive_rabi * (m.conj().T + m)
-        h = build_effective_hamiltonian(p, spec)
+        h = build_effective_hamiltonian(p)
         assert np.allclose(h, expected, atol=1e-14)
 
     def test_probe_phase_enters_offdiagonal(self):
         p = ModelParams(1, 0.0, 0.0, 2.0, 0.0, 0.4, 1.0, fock_cutoff=1)
-        h = build_effective_hamiltonian(p, p.hilbert_spec())
+        h = build_effective_hamiltonian(p)
         # Basis |g0>, |g1>, |e0>, |e1>: <g0|H|e0> carries exp(+i theta).
         assert np.isclose(h[0, 2], 2.0 * np.exp(1j * 0.4))
-
-    def test_spec_mismatch_rejected(self):
-        p = fig2_params()
-        q = p.with_(n_modes=2)
-        with pytest.raises(ValueError, match="modes"):
-            build_effective_hamiltonian(p, q.hilbert_spec())
-
-
-class TestNonHermitianHamiltonian:
-    def test_imaginary_shifts_follow_excitation_number(self):
-        p = fig2_params(fock_cutoff=1)
-        h = build_nonhermitian_hamiltonian(p, p.hilbert_spec())
-        diag = np.diag(h)
-        # |g0>, |g1>, |e0>, |e1> carry 0, 1, 1, 2 excitations.
-        assert np.allclose(diag.imag, [-0.0, -0.25, -0.25, -0.5])
-
-    def test_real_part_is_effective_hamiltonian(self):
-        p = fig2_params(phase=0.2, fock_cutoff=2)
-        spec = p.hilbert_spec()
-        h_eff = build_effective_hamiltonian(p, spec)
-        h_nh = build_nonhermitian_hamiltonian(p, spec)
-        assert np.allclose(0.5 * (h_nh + h_nh.conj().T), h_eff)
 
 
 class TestDissipators:
     def test_channel_count_and_rates(self):
         p = ModelParams(3, 1.0, 1.0, 0.1, 0.1, 0.0, 0.7, fock_cutoff=1)
-        channels = build_dissipators(p, p.hilbert_spec())
+        spec = p.hilbert_spec()
+        channels = [(o, p.decay) for o in build_dissipators(spec)]
         assert len(channels) == 4
-        assert all(rate == 0.7 for _, rate in channels)
+        assert all(o.shape == (spec.dim, spec.dim) and rate == 0.7 for o, rate in channels)
 
     def test_channel_operators(self):
         p = fig2_params(fock_cutoff=2)
         spec = p.hilbert_spec()
-        channels = build_dissipators(p, spec)
+        channels = [(o, p.decay) for o in build_dissipators(spec)]
         assert np.array_equal(channels[0][0], qubit_sigma_minus(spec))
         assert np.array_equal(channels[1][0], mode_annihilation(1, spec))
 

@@ -11,6 +11,7 @@ from magnon_blockade.model import ModelParams, build_dissipators, build_effectiv
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay, mode_occupation
 from magnon_blockade.operators import DensityMatrix, HilbertSpec, mode_annihilation, qubit_sigma_minus
 from magnon_blockade.steady_state import (
+    DENSE_SOLVE_MAX_ROWS,
     Liouvillian,
     SteadyStateError,
     TruncationError,
@@ -44,7 +45,7 @@ def full_space_solve(lv: Liouvillian) -> DensityMatrix:
     mat = sp.vstack([trace_row, lv.matrix[1:]], format="csc")
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
-    if n <= 4096:
+    if n <= DENSE_SOLVE_MAX_ROWS:
         v = np.linalg.solve(mat.toarray(), rhs)
     else:
         lu = spla.splu(mat)
@@ -211,6 +212,15 @@ class TestSolveSteadyState:
         mixed = np.eye(spec.dim, dtype=complex) / spec.dim
         evolved = evolve_to_steady_state(p, DensityMatrix(mixed, spec))
         assert trace_distance(direct.matrix, evolved.matrix) < 1e-7
+
+    @pytest.mark.parametrize("other", [{"n_modes": 2}, {"fock_cutoff": 3}])
+    def test_evolution_rejects_state_from_another_space(self, other):
+        p = fig2_params(fock_cutoff=2)
+        spec = p.with_(**other).hilbert_spec()
+        vac = np.zeros((spec.dim, spec.dim), dtype=complex)
+        vac[0, 0] = 1.0
+        with pytest.raises(ValueError, match="initial state lives in"):
+            evolve_to_steady_state(p, DensityMatrix(vac, spec))
 
     def test_two_mode_symmetry(self):
         # The symmetric-sector solve is mode-symmetric by construction, so
@@ -408,10 +418,11 @@ class TestSymmetricSectorOracle:
         p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 3)
         spec = p.hilbert_spec()
         sm, m2 = qubit_sigma_minus(spec), mode_annihilation(2, spec)
-        h = build_effective_hamiltonian(p, spec) - 5.0 * (
+        h = build_effective_hamiltonian(p) - 5.0 * (
             m2 @ sm.conj().T + m2.conj().T @ sm
         )
-        lv = Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
+        channels = [(o, p.decay) for o in build_dissipators(spec)]
+        lv = Liouvillian(liouvillian_matrix(h, channels), spec)
         full_space_solve(lv).validate()
         with pytest.raises(SteadyStateError, match="symmetric under mode exchange"):
             solve_steady_state(lv)
@@ -423,11 +434,12 @@ class TestSymmetricSectorOracle:
         # Hermitian coordinates misses it.
         p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 2)
         spec = p.hilbert_spec()
-        h = build_effective_hamiltonian(p, spec)
+        h = build_effective_hamiltonian(p)
         for j in (1, 2):
             m = mode_annihilation(j, spec)
             h = h + 1j * eps * (m + m.conj().T)
-        lv = Liouvillian(liouvillian_matrix(h, build_dissipators(p, spec)), spec)
+        channels = [(o, p.decay) for o in build_dissipators(spec)]
+        lv = Liouvillian(liouvillian_matrix(h, channels), spec)
         full = full_space_solve(lv).matrix
         assert np.max(np.abs(full - full.conj().T)) > eps
         with pytest.raises(SteadyStateError, match="preserves Hermiticity"):

@@ -142,7 +142,7 @@ class TestMinimumSearch:
 
 class TestVerifyScaling:
     def test_single_mode_entry(self):
-        report = verify_scaling(n_list=(1,), rounds=1)
+        report = verify_scaling(n_list=(1,))
         assert report.r == 0.025
         (entry,) = report.entries
         assert entry.error is None
