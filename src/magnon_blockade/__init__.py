@@ -15,11 +15,9 @@ from .analytic import (
     theta_optimal_exact,
 )
 from .model import (
-    CavityMediatedParams,
     ModelParams,
     build_dissipators,
     build_effective_hamiltonian,
-    derive_effective_params,
 )
 from .observables import (
     BlockadeMetrics,
@@ -41,7 +39,6 @@ from .steady_state import (
     Liouvillian,
     build_liouvillian,
     converge_truncation,
-    evolve_to_steady_state,
     solve_steady_state,
 )
 from .sweep import (
@@ -56,7 +53,6 @@ from .sweep import (
 __all__ = [
     "AmplitudeSet",
     "BlockadeMetrics",
-    "CavityMediatedParams",
     "DensityMatrix",
     "HilbertSpec",
     "Liouvillian",
@@ -71,9 +67,7 @@ __all__ = [
     "build_liouvillian",
     "classify_statistics",
     "converge_truncation",
-    "derive_effective_params",
     "embed",
-    "evolve_to_steady_state",
     "find_minimum",
     "fock_annihilation",
     "g2_analytic",

@@ -60,34 +60,8 @@ class AmplitudeSet:
         return abs(self.c_g12) ** 2
 
 
-@dataclass(frozen=True)
-class AnalyticIntermediates:
-    """Coefficients of the paper's general-N two-excitation amplitude.
-
-    c_g11 = sqrt(2) (a_coeff c_g1 - b_coeff) / (4 dt^2 - 2 J^2), with dt the
-    complex detuning.
-    """
-
-    a_coeff: complex
-    b_coeff: complex
-
-
 def complex_detuning(p: ModelParams) -> complex:
     return p.delta - 0.5j * p.decay
-
-
-def intermediates(p: ModelParams) -> AnalyticIntermediates:
-    if p.coupling <= 0:
-        raise ValueError("intermediates require a positive coupling")
-    dt = complex_detuning(p)
-    if abs(dt) == 0:
-        raise ResonanceError("zero complex detuning")
-    phase = np.exp(-1j * p.phase)
-    a_coeff = p.coupling * p.probe_rabi * phase - (
-        2 * dt + p.n_modes * p.coupling**2 / dt
-    ) * p.drive_rabi
-    b_coeff = p.coupling * p.drive_rabi * p.probe_rabi * phase / dt
-    return AnalyticIntermediates(a_coeff=a_coeff, b_coeff=b_coeff)
 
 
 def _check_denominator(value: complex, scale: float, name: str):
@@ -149,68 +123,6 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
         c_g12=c_g12,
         weak_drive_certified=certified,
     )
-
-
-def closed_form_probabilities(
-    p: ModelParams, small_theta: bool = False
-) -> tuple[float, float]:
-    """|c_g1|^2 and |c_g11|^2 from the closed forms, for N = 1 or 2 modes.
-
-    The small_theta fast path additionally assumes the optimal ratios
-    delta = sqrt(N) J and probe = 3 sqrt(N) drive, and expands to leading
-    order in the phase.
-    """
-    n = p.n_modes
-    if n not in (1, 2):
-        raise ValueError(f"closed forms exist for one or two modes, not {n}")
-    j, k, om, oq, d, th = (
-        p.coupling,
-        p.decay,
-        p.drive_rabi,
-        p.probe_rabi,
-        p.delta,
-        p.phase,
-    )
-    if small_theta:
-        r = k / j
-        root_n = math.sqrt(n)
-        p_g1 = (
-            (64 * n + 4 * (6 * root_n * th - r) ** 2) * om**2 / k**2 / (r**2 + 16 * n)
-        )
-        p_g11 = (
-            4
-            * n
-            * ((12 * root_n * r * th - r**2) ** 2 + (12 * n * th - 8 * root_n * r) ** 2)
-            * om**4
-            / j**4
-            / (((r**2 - 2 * n) ** 2 + 16 * n * r**2) * (r**4 + 16 * n * r**2))
-        )
-        return p_g1, p_g11
-    dt = complex_detuning(p)
-    denom1 = 4 * abs(n * j**2 - dt**2) ** 2
-    _check_denominator(denom1, max(j, abs(dt)) ** 4, "single-excitation")
-    p_g1 = (
-        4 * (d * om - j * oq * math.cos(th)) ** 2
-        + (2 * j * oq * math.sin(th) - k * om) ** 2
-    ) / denom1
-    # Real quadratic coefficients of the two-excitation amplitude.
-    a = (
-        (2 * j**2 + 4 * d**2 - k**2) * om**2
-        + 2 * j**2 * oq**2 * math.cos(2 * th)
-        - 8 * d * j * om * oq * math.cos(th)
-        + 4 * j * k * om * oq * math.sin(th)
-    )
-    b = (
-        -2 * j**2 * oq**2 * math.sin(2 * th)
-        + 8 * d * j * om * oq * math.sin(th)
-        + 4 * j * k * om * oq * math.cos(th)
-        - 4 * d * k * om**2
-    )
-    # 8 |(N J^2 - dt^2)(N J^2 - 2 dt^2)|^2, with the factor N pulled out.
-    denom2 = 8 * n**2 * abs((n * j**2 - dt**2) * (j**2 - 2 * dt**2 / n)) ** 2
-    _check_denominator(denom2, max(j, abs(dt)) ** 8, "two-excitation")
-    p_g11 = ((a + 2 * (n - 1) * j**2 * om**2) ** 2 + b**2) / denom2
-    return p_g1, p_g11
 
 
 def g2_analytic(amps: AmplitudeSet) -> tuple[float, float]:

@@ -226,7 +226,7 @@ def cmd_optimize(args) -> int:
     )
     print(f"argmin = {argmin:.8g}")
     print(f"min_g2 = {minimum:.6e}")
-    print(f"log10_min_g2 = {math.log10(minimum):.4f}")
+    print(f"log10_min_g2 = {math.log10(minimum):.4f}" if minimum > 0 else "log10_min_g2 = -inf")
     return 0
 
 

@@ -41,35 +41,18 @@ class HilbertSpec:
 class DensityMatrix:
     """State of the full composite space.
 
-    Validity (Hermiticity, unit trace, positivity) is checked by
-    :meth:`validate`, not at construction, so that intermediate numerical
-    states can be carried around.
+    Construction checks only the shape, not Hermiticity, unit trace or
+    positivity, so that intermediate numerical states can be carried around.
     """
 
     matrix: np.ndarray
     spec: HilbertSpec
-
-    HERMITICITY_TOL = 1e-10
-    TRACE_TOL = 1e-10
-    POSITIVITY_TOL = 1e-8
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.spec.dim, self.spec.dim):
             raise ValueError("density matrix shape does not match space dimension")
         object.__setattr__(self, "matrix", m)
-
-    def validate(self):
-        herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if herm > self.HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-        if w.min() < -self.POSITIVITY_TOL:
-            raise ValueError(f"density matrix not positive: min eigenvalue {w.min():.3e}")
-        return self
 
 
 def fock_annihilation(n_max: int) -> np.ndarray:

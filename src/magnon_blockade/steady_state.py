@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .model import ModelParams, build_dissipators, hamiltonian_coefficients, hamiltonian_parts
 from .operators import DensityMatrix, HilbertSpec
@@ -52,11 +51,6 @@ class Liouvillian:
     @property
     def dim(self) -> int:
         return self.spec.dim
-
-    def trace_residual(self) -> float:
-        """Max entry of vec(I)^T L; zero for a trace-preserving generator."""
-        ident = vectorize(np.eye(self.dim, dtype=complex))
-        return float(np.max(np.abs(ident @ self.matrix)))
 
 
 def liouvillian_matrix(
@@ -231,70 +225,6 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     rho = unvectorize(v, d)
     rho = rho / np.trace(rho).real
     return DensityMatrix(rho, lv.spec)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(0.5 * ((a - b) + (a - b).conj().T))
-    return 0.5 * float(np.sum(np.abs(w)))
-
-
-def evolve_to_steady_state(p: ModelParams, rho0: DensityMatrix) -> DensityMatrix:
-    """Integrate the master equation from rho0 until the state settles.
-
-    Independent oracle for :func:`solve_steady_state`.  Runs an adaptive
-    explicit Runge-Kutta scheme in checkpoints of 5 / kappa; integration
-    runs at least 20 / kappa and until the trace distance between
-    successive checkpoints drops below 1e-9, and fails past 400 / kappa,
-    naming whether that distance had stopped decreasing.  Raises ValueError
-    when rho0 does not live in p's space.
-    """
-    spec = p.hilbert_spec()
-    if rho0.spec != spec:
-        raise ValueError(f"initial state lives in {rho0.spec}, but the parameters fix {spec}")
-    t_min, t_max, chunk, settle_tol = 20.0 / p.decay, 400.0 / p.decay, 5.0 / p.decay, 1e-9
-    mat = build_liouvillian(p).matrix
-
-    def rhs(_t, v):
-        return mat @ v
-
-    v = vectorize(rho0.matrix)
-    prev = unvectorize(v, spec.dim)
-    t = 0.0
-    last_dist = np.inf
-    while True:
-        sol = solve_ivp(
-            rhs,
-            (t, t + chunk),
-            v,
-            method="RK45",
-            rtol=1e-9,
-            atol=1e-12,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise SteadyStateError(f"integrator failed: {sol.message}")
-        v = sol.y[:, -1]
-        t += chunk
-        cur = unvectorize(v, spec.dim)
-        dist = trace_distance(cur, prev)
-        if t >= t_min and dist < settle_tol:
-            break
-        if t > t_max:
-            if dist >= last_dist:
-                raise SteadyStateError(
-                    "time evolution is not converging to a steady state "
-                    f"(checkpoint distance {dist:.3e})"
-                )
-            raise SteadyStateError(
-                f"time evolution did not settle below {settle_tol:.1e} "
-                f"within t = 400/kappa (distance {dist:.3e})"
-            )
-        prev = cur
-        last_dist = dist
-    rho = unvectorize(v, spec.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho)
-    return DensityMatrix(rho, spec)
 
 
 class TruncationError(RuntimeError):

@@ -143,7 +143,12 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
-    """Evaluate every grid point; one record per point, in grid order."""
+    """Evaluate every grid point; one record per point, in grid order.
+
+    The pool gets at most one worker per grid point: with the fork start
+    method every requested worker is forked up front, busy or not.
+    """
+    workers = min(workers, len(spec.grid))
     if workers <= 1:
         return [_evaluate_point(spec, v) for v in spec.grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,0 +1,215 @@
+"""Independent reference implementations that the tests check the engines against.
+
+None of these runs in a command or a sweep: density-matrix validity, the
+generator's trace preservation, time evolution as the check of the direct
+solve, the paper's closed-form probabilities as the check of the amplitude
+solve, and the one-excitation spectrum.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
+from magnon_blockade.model import ModelParams, build_effective_hamiltonian, hamiltonian_parts
+from magnon_blockade.operators import DensityMatrix
+from magnon_blockade.steady_state import (
+    Liouvillian,
+    SteadyStateError,
+    build_liouvillian,
+    unvectorize,
+    vectorize,
+)
+
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+POSITIVITY_TOL = 1e-8
+
+
+def validate(rho: DensityMatrix) -> DensityMatrix:
+    """Check Hermiticity, unit trace and positivity; raise ValueError otherwise."""
+    herm = np.max(np.abs(rho.matrix - rho.matrix.conj().T))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
+    tr = np.trace(rho.matrix)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1")
+    w = np.linalg.eigvalsh(0.5 * (rho.matrix + rho.matrix.conj().T))
+    if w.min() < -POSITIVITY_TOL:
+        raise ValueError(f"density matrix not positive: min eigenvalue {w.min():.3e}")
+    return rho
+
+
+def trace_residual(lv: Liouvillian) -> float:
+    """Max entry of vec(I)^T L; zero for a trace-preserving generator."""
+    ident = vectorize(np.eye(lv.dim, dtype=complex))
+    return float(np.max(np.abs(ident @ lv.matrix)))
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(0.5 * ((a - b) + (a - b).conj().T))
+    return 0.5 * float(np.sum(np.abs(w)))
+
+
+def evolve_to_steady_state(p: ModelParams, rho0: DensityMatrix) -> DensityMatrix:
+    """Integrate the master equation from rho0 until the state settles.
+
+    Independent oracle for :func:`solve_steady_state`.  Runs an adaptive
+    explicit Runge-Kutta scheme in checkpoints of 5 / kappa; integration
+    runs at least 20 / kappa and until the trace distance between
+    successive checkpoints drops below 1e-9, and fails past 400 / kappa,
+    naming whether that distance had stopped decreasing.  Raises ValueError
+    when rho0 does not live in p's space.
+    """
+    spec = p.hilbert_spec()
+    if rho0.spec != spec:
+        raise ValueError(f"initial state lives in {rho0.spec}, but the parameters fix {spec}")
+    t_min, t_max, chunk, settle_tol = 20.0 / p.decay, 400.0 / p.decay, 5.0 / p.decay, 1e-9
+    mat = build_liouvillian(p).matrix
+
+    def rhs(_t, v):
+        return mat @ v
+
+    v = vectorize(rho0.matrix)
+    prev = unvectorize(v, spec.dim)
+    t = 0.0
+    last_dist = np.inf
+    while True:
+        sol = solve_ivp(
+            rhs,
+            (t, t + chunk),
+            v,
+            method="RK45",
+            rtol=1e-9,
+            atol=1e-12,
+            dense_output=False,
+        )
+        if not sol.success:
+            raise SteadyStateError(f"integrator failed: {sol.message}")
+        v = sol.y[:, -1]
+        t += chunk
+        cur = unvectorize(v, spec.dim)
+        dist = trace_distance(cur, prev)
+        if t >= t_min and dist < settle_tol:
+            break
+        if t > t_max:
+            if dist >= last_dist:
+                raise SteadyStateError(
+                    "time evolution is not converging to a steady state "
+                    f"(checkpoint distance {dist:.3e})"
+                )
+            raise SteadyStateError(
+                f"time evolution did not settle below {settle_tol:.1e} "
+                f"within t = 400/kappa (distance {dist:.3e})"
+            )
+        prev = cur
+        last_dist = dist
+    rho = unvectorize(v, spec.dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho)
+    return DensityMatrix(rho, spec)
+
+
+@dataclass(frozen=True)
+class AnalyticIntermediates:
+    """Coefficients of the paper's general-N two-excitation amplitude.
+
+    c_g11 = sqrt(2) (a_coeff c_g1 - b_coeff) / (4 dt^2 - 2 J^2), with dt the
+    complex detuning.
+    """
+
+    a_coeff: complex
+    b_coeff: complex
+
+
+def intermediates(p: ModelParams) -> AnalyticIntermediates:
+    if p.coupling <= 0:
+        raise ValueError("intermediates require a positive coupling")
+    dt = complex_detuning(p)
+    if abs(dt) == 0:
+        raise ResonanceError("zero complex detuning")
+    phase = np.exp(-1j * p.phase)
+    a_coeff = p.coupling * p.probe_rabi * phase - (
+        2 * dt + p.n_modes * p.coupling**2 / dt
+    ) * p.drive_rabi
+    b_coeff = p.coupling * p.drive_rabi * p.probe_rabi * phase / dt
+    return AnalyticIntermediates(a_coeff=a_coeff, b_coeff=b_coeff)
+
+
+def closed_form_probabilities(
+    p: ModelParams, small_theta: bool = False
+) -> tuple[float, float]:
+    """|c_g1|^2 and |c_g11|^2 from the closed forms, for N = 1 or 2 modes.
+
+    The small_theta fast path additionally assumes the optimal ratios
+    delta = sqrt(N) J and probe = 3 sqrt(N) drive, and expands to leading
+    order in the phase.
+    """
+    n = p.n_modes
+    if n not in (1, 2):
+        raise ValueError(f"closed forms exist for one or two modes, not {n}")
+    j, k, om, oq, d, th = (
+        p.coupling,
+        p.decay,
+        p.drive_rabi,
+        p.probe_rabi,
+        p.delta,
+        p.phase,
+    )
+    if small_theta:
+        r = k / j
+        root_n = math.sqrt(n)
+        p_g1 = (
+            (64 * n + 4 * (6 * root_n * th - r) ** 2) * om**2 / k**2 / (r**2 + 16 * n)
+        )
+        p_g11 = (
+            4
+            * n
+            * ((12 * root_n * r * th - r**2) ** 2 + (12 * n * th - 8 * root_n * r) ** 2)
+            * om**4
+            / j**4
+            / (((r**2 - 2 * n) ** 2 + 16 * n * r**2) * (r**4 + 16 * n * r**2))
+        )
+        return p_g1, p_g11
+    dt = complex_detuning(p)
+    denom1 = 4 * abs(n * j**2 - dt**2) ** 2
+    _check_denominator(denom1, max(j, abs(dt)) ** 4, "single-excitation")
+    p_g1 = (
+        4 * (d * om - j * oq * math.cos(th)) ** 2
+        + (2 * j * oq * math.sin(th) - k * om) ** 2
+    ) / denom1
+    # Real quadratic coefficients of the two-excitation amplitude.
+    a = (
+        (2 * j**2 + 4 * d**2 - k**2) * om**2
+        + 2 * j**2 * oq**2 * math.cos(2 * th)
+        - 8 * d * j * om * oq * math.cos(th)
+        + 4 * j * k * om * oq * math.sin(th)
+    )
+    b = (
+        -2 * j**2 * oq**2 * math.sin(2 * th)
+        + 8 * d * j * om * oq * math.sin(th)
+        + 4 * j * k * om * oq * math.cos(th)
+        - 4 * d * k * om**2
+    )
+    # 8 |(N J^2 - dt^2)(N J^2 - 2 dt^2)|^2, with the factor N pulled out.
+    denom2 = 8 * n**2 * abs((n * j**2 - dt**2) * (j**2 - 2 * dt**2 / n)) ** 2
+    _check_denominator(denom2, max(j, abs(dt)) ** 8, "two-excitation")
+    p_g11 = ((a + 2 * (n - 1) * j**2 * om**2) ** 2 + b**2) / denom2
+    return p_g1, p_g11
+
+
+def single_excitation_energies(p: ModelParams) -> np.ndarray:
+    """Eigenvalues of the undriven Hamiltonian in the one-excitation sector.
+
+    The N degenerate modes hybridize with the qubit into one bright pair at
+    delta +- sqrt(N) J and N - 1 dark states at delta.
+    """
+    q = p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1)
+    h = build_effective_hamiltonian(q)
+    one = np.isclose(np.diag(hamiltonian_parts(q.hilbert_spec())[0]).real, 1.0)
+    block = h[np.ix_(one, one)]
+    return np.linalg.eigvalsh(block)

@@ -6,14 +6,13 @@ import pytest
 from magnon_blockade.analytic import (
     ResonanceError,
     amplitudes_for,
-    closed_form_probabilities,
     complex_detuning,
     g2_analytic,
-    intermediates,
     optimal_conditions,
     theta_optimal_exact,
 )
 from magnon_blockade.model import ModelParams
+from oracles import closed_form_probabilities, intermediates
 
 
 def random_params(rng, n_modes):

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import magnon_blockade
 from magnon_blockade.cli import (
     CSV_HEADER,
     ConfigError,
@@ -214,6 +219,21 @@ class TestOptimizeCommand:
         assert main(args) == 1
         assert "configuration error: no interior minimum" in capsys.readouterr().err
 
+    def test_zero_minimum_reported(self, capsys, monkeypatch):
+        # g2_zero_delay clamps round-off moments to 0, so a minimum of
+        # exactly 0 is a result, not a configuration error.
+        monkeypatch.setattr("magnon_blockade.cli.find_minimum", lambda *a, **k: (0.01, 0.0))
+        args = [
+            "optimize", *BASE_FLAGS,
+            "--axis", "theta",
+            "--bracket-lo", "0.001",
+            "--bracket-hi", "0.02",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "min_g2 = 0.000000e+00" in out
+        assert "log10_min_g2 = -inf" in out
+
 
 class TestVerifyScalingCommand:
     def test_bad_mode_list_exit_1(self, capsys):
@@ -246,3 +266,22 @@ class TestPresetCommand:
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["preset", "fig9"])
+
+
+class TestImportSurface:
+    def test_package_import_skips_time_integration(self):
+        # scipy.integrate serves only the time-evolution oracle of the tests;
+        # a fresh interpreter shows what importing the package pulls in.
+        src = str(Path(magnon_blockade.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        code = "import sys, magnon_blockade; print('scipy.integrate' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert result.stdout.strip() == "False"
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in magnon_blockade.__all__ if not hasattr(magnon_blockade, name)]
+        assert missing == []

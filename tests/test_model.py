@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from magnon_blockade.model import (
-    CavityMediatedParams,
-    ModelParams,
-    build_dissipators,
-    build_effective_hamiltonian,
-    derive_effective_params,
-    params_from_cavity_mediated,
-    single_excitation_energies,
-)
+from magnon_blockade.model import ModelParams, build_dissipators, build_effective_hamiltonian
 from magnon_blockade.operators import HilbertSpec, mode_annihilation, qubit_sigma_minus
+from oracles import single_excitation_energies
 
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
@@ -116,65 +109,6 @@ class TestDissipators:
         channels = [(o, p.decay) for o in build_dissipators(spec)]
         assert np.array_equal(channels[0][0], qubit_sigma_minus(spec))
         assert np.array_equal(channels[1][0], mode_annihilation(1, spec))
-
-
-class TestEffectiveParameterDerivation:
-    def test_exchange_coupling_and_shifts(self):
-        c = CavityMediatedParams(
-            qubit_cavity_couplings=(10.0,),
-            magnon_cavity_couplings=(10.0,),
-            qubit_magnon_detunings=(100.0,),
-            qubit_cavity_detunings=(200.0,),
-        )
-        eff = derive_effective_params(c)
-        assert eff.couplings == (1.0,)
-        assert eff.mode_shifts == (1.0,)
-        assert eff.qubit_shift == pytest.approx(0.5)
-        assert eff.dispersive_ok
-
-    def test_two_arms_accumulate_qubit_shift(self):
-        c = CavityMediatedParams(
-            qubit_cavity_couplings=(10.0, 20.0),
-            magnon_cavity_couplings=(10.0, 10.0),
-            qubit_magnon_detunings=(100.0, 200.0),
-            qubit_cavity_detunings=(100.0, 200.0),
-        )
-        eff = derive_effective_params(c)
-        assert eff.couplings == (1.0, 1.0)
-        assert eff.qubit_shift == pytest.approx(1.0 + 2.0)
-
-    def test_warns_outside_dispersive_regime(self):
-        c = CavityMediatedParams(
-            qubit_cavity_couplings=(10.0,),
-            magnon_cavity_couplings=(10.0,),
-            qubit_magnon_detunings=(20.0,),
-            qubit_cavity_detunings=(200.0,),
-        )
-        with pytest.warns(UserWarning, match="dispersive"):
-            eff = derive_effective_params(c)
-        assert not eff.dispersive_ok
-
-    def test_zero_detuning_singular(self):
-        c = CavityMediatedParams((10.0,), (10.0,), (0.0,), (200.0,))
-        with pytest.raises(ZeroDivisionError, match="singular"):
-            derive_effective_params(c)
-
-    def test_mismatched_arm_lists(self):
-        with pytest.raises(ValueError, match="equal length"):
-            CavityMediatedParams((1.0, 2.0), (1.0,), (10.0,), (10.0,))
-
-    def test_params_from_cavity_mediated(self):
-        c = CavityMediatedParams(
-            qubit_cavity_couplings=(10.0, 10.0),
-            magnon_cavity_couplings=(10.0, 10.0),
-            qubit_magnon_detunings=(100.0, 100.0),
-            qubit_cavity_detunings=(100.0, 100.0),
-        )
-        p = params_from_cavity_mediated(
-            c, delta=1.0, probe_rabi=0.3, drive_rabi=0.1, phase=0.0, decay=0.5
-        )
-        assert p.n_modes == 2
-        assert p.coupling == pytest.approx(1.0)
 
 
 class TestSingleExcitationEnergies:

@@ -11,6 +11,7 @@ from magnon_blockade.operators import (
     qubit_lowering,
     qubit_sigma_minus,
 )
+from oracles import validate
 
 
 class TestLadderOperators:
@@ -155,26 +156,26 @@ class TestDensityMatrixValidation:
     def test_valid_state_passes(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=1)
         rho = np.diag([0.5, 0.25, 0.15, 0.1]).astype(complex)
-        DensityMatrix(rho, spec).validate()
+        validate(DensityMatrix(rho, spec))
 
     def test_non_hermitian_rejected(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=1)
         rho = np.diag([1.0, 0, 0, 0]).astype(complex)
         rho[0, 1] = 1e-5
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(rho, spec).validate()
+            validate(DensityMatrix(rho, spec))
 
     def test_wrong_trace_rejected(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=1)
         rho = np.diag([0.5, 0.5, 0.5, 0]).astype(complex)
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(rho, spec).validate()
+            validate(DensityMatrix(rho, spec))
 
     def test_negative_state_rejected(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=1)
         rho = np.diag([1.1, 0, 0, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
-            DensityMatrix(rho, spec).validate()
+            validate(DensityMatrix(rho, spec))
 
 
 def test_sigma_minus_helper_matches_embed():

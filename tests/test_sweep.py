@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from magnon_blockade import sweep
 from magnon_blockade.analytic import theta_optimal_exact
 from magnon_blockade.model import ModelParams
 from magnon_blockade.sweep import (
@@ -84,6 +85,31 @@ class TestRunSweep:
         grid = tuple(np.linspace(0.0, 0.01, 8))
         spec = SweepSpec(fig2_params(), "theta", grid, engines=("analytic",))
         assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+
+    def test_pool_capped_at_grid_length(self, monkeypatch):
+        # Stands in for the process pool: records its size, maps serially.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        spec = SweepSpec(fig2_params(), "theta", (0.0, 0.005, 0.01), engines=("analytic",))
+        assert run_sweep(spec, workers=64) == run_sweep(spec)
+        assert sizes == [3]
+        one_point = SweepSpec(fig2_params(), "theta", (0.005,), engines=("analytic",))
+        run_sweep(one_point, workers=64)
+        assert sizes == [3]
 
     def test_repeat_runs_identical(self):
         grid = (0.0, 0.005, 0.01)
