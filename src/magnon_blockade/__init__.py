@@ -24,8 +24,6 @@ from .observables import (
     blockade_metrics,
     classify_statistics,
     g2_zero_delay,
-    mode_occupation,
-    single_excitation_probability,
 )
 from .operators import (
     DensityMatrix,
@@ -72,13 +70,11 @@ __all__ = [
     "fock_annihilation",
     "g2_analytic",
     "g2_zero_delay",
-    "mode_occupation",
     "optimal_conditions",
     "partial_trace",
     "preset_sweeps",
     "qubit_lowering",
     "run_sweep",
-    "single_excitation_probability",
     "solve_steady_state",
     "theta_optimal_exact",
     "verify_scaling",

@@ -34,8 +34,6 @@ class AmplitudeSet:
     qubit excited with one quantum in mode 1.
     """
 
-    n_modes: int
-    c_g0: complex
     c_e0: complex
     c_g1: complex
     c_e1: complex
@@ -114,8 +112,6 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     c_g12 = sol[4] if cross else 0.0 + 0.0j
     certified = abs(c_g1) > 10 * max(abs(c_e1), abs(c_g11), abs(c_g12))
     return AmplitudeSet(
-        n_modes=n,
-        c_g0=1.0 + 0.0j,
         c_e0=c_e0,
         c_g1=c_g1,
         c_e1=c_e1,
@@ -144,8 +140,6 @@ def g2_analytic(amps: AmplitudeSet) -> tuple[float, float]:
 class OptimalConditions:
     """Blockade-optimizing parameter ratios for N modes at a given r = kappa/J."""
 
-    n_modes: int
-    r: float
     delta_over_j: float
     probe_over_drive: float
     theta_general: float
@@ -168,8 +162,6 @@ def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
         raise ValueError("r must be positive")
     root_n = math.sqrt(n_modes)
     return OptimalConditions(
-        n_modes=n_modes,
-        r=r,
         delta_over_j=root_n,
         probe_over_drive=3 * root_n,
         theta_general=2 * r / (3 * root_n),

@@ -6,7 +6,8 @@ config file; flags win.  All rates are in units of gamma (gamma / 2 pi =
 1 MHz), angles in radians.
 
 Exit codes: 0 success, 1 configuration error (any ValueError the library
-raises for the given input), 2 when any sweep row or scaling entry failed.
+raises for the given input), 2 when any sweep row or scaling entry failed
+or a single-point solve did not converge or had no unique steady state.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams
+from .observables import blockade_metrics
+from .steady_state import (
+    SteadyStateError, TruncationError, build_liouvillian, converge_truncation, solve_steady_state,
+)
 from .sweep import (
     SweepRecord,
     SweepSpec,
@@ -107,8 +112,7 @@ def _collect_params(args) -> ModelParams:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    missing = [k for k in ("n_modes", "delta", "coupling", "probe_rabi",
-                           "drive_rabi", "phase", "decay") if k not in values]
+    missing = [k for k in PARAM_KEYS if k != "fock_cutoff" and k not in values]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
     try:
@@ -117,8 +121,8 @@ def _collect_params(args) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _collect_sweep_key(args, values, key, flag_name=None):
-    flag = getattr(args, flag_name or key, None)
+def _collect_sweep_key(args, values, key):
+    flag = getattr(args, key, None)
     if flag is not None:
         values[key] = flag
     return values.get(key)
@@ -133,22 +137,11 @@ def _format(value) -> str:
 
 
 def write_csv(records: list[SweepRecord], stream):
+    """One row per record; every CSV column is the SweepRecord attribute of its name."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow(
-            [
-                _format(rec.axis_value),
-                _format(rec.g2_numeric),
-                _format(rec.log10_g2_numeric),
-                _format(rec.g2_analytic),
-                _format(rec.log10_g2_analytic),
-                _format(rec.p1),
-                _format(rec.occupation),
-                _format(rec.n_max),
-                _format(rec.classification),
-            ]
-        )
+        writer.writerow([_format(getattr(rec, column)) for column in CSV_HEADER])
 
 
 def _emit_records(records, output: str | None) -> int:
@@ -164,12 +157,9 @@ def _emit_records(records, output: str | None) -> int:
 
 
 def cmd_steady_g2(args) -> int:
-    from .observables import blockade_metrics, g2_zero_delay
-    from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
-
     p = _collect_params(args)
     if args.converge:
-        rho = converge_truncation(p, g2_zero_delay)
+        rho = converge_truncation(p)
     else:
         rho = solve_steady_state(build_liouvillian(p))
     m = blockade_metrics(rho)
@@ -259,12 +249,8 @@ def cmd_preset(args) -> int:
     for label, spec in preset_sweeps(args.name):
         records = run_sweep(spec, workers=args.workers)
         path = out_dir / f"{args.name}_{label}.csv"
-        with open(path, "w") as fh:
-            write_csv(records, fh)
-        failed = sum(1 for r in records if r.error is not None)
-        print(f"{path} ({len(records)} rows, {failed} failed)")
-        if failed:
-            status = 2
+        status = max(status, _emit_records(records, path))
+        print(f"{path} ({len(records)} rows, {sum(r.error is not None for r in records)} failed)")
     return status
 
 
@@ -329,6 +315,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except (TruncationError, SteadyStateError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

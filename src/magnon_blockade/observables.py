@@ -1,4 +1,8 @@
-"""Blockade metrics evaluated on a steady-state density matrix."""
+"""Blockade metrics evaluated on a steady-state density matrix.
+
+The solve is mode-symmetric by construction, so mode 1 stands for every
+mode: g2 and P1 are the paper's values "for each magnon".
+"""
 
 from __future__ import annotations
 
@@ -28,17 +32,15 @@ class UndefinedCorrelationError(ValueError):
     floor, or the two-excitation moment is negative beyond round-off."""
 
 
-def _fock_moments(rho: DensityMatrix, mode: int) -> tuple[float, float, float]:
-    """Occupation <n>, pair moment <n (n - 1)> and P1 of one mode.
+def _fock_moments(rho: DensityMatrix) -> tuple[float, float, float]:
+    """Occupation <n>, pair moment <n (n - 1)> and P1 of mode 1.
 
     All three come from the diagonal of the mode's reduced state, the Fock
     populations P_n.
     """
-    if not 1 <= mode <= rho.spec.n_modes:
-        raise ValueError(f"mode {mode} out of range for {rho.spec.n_modes} modes")
     if rho.spec.fock_cutoff < 1:
         raise ValueError("no excitation sector: fock cutoff must be at least 1")
-    populations = np.real(np.diagonal(partial_trace(rho, mode)))
+    populations = np.real(np.diagonal(partial_trace(rho, 1)))
     n = np.arange(populations.size)
     return (
         float(n @ populations),
@@ -61,25 +63,16 @@ def _g2_ratio(occupation: float, pairs: float) -> float:
     return max(pairs, 0.0) / occupation**2
 
 
-def mode_occupation(rho: DensityMatrix, mode: int = 1) -> float:
-    return _fock_moments(rho, mode)[0]
-
-
-def g2_zero_delay(rho: DensityMatrix, mode: int = 1) -> float:
-    """Equal-time second-order correlation of one mode.
+def g2_zero_delay(rho: DensityMatrix) -> float:
+    """Equal-time second-order correlation of mode 1.
 
     Ratio of the normally ordered two-excitation moment to the squared
     occupation.  A moment below -NEGATIVE_MOMENT_RTOL * occupation^2 means
     the state lost positivity and raises UndefinedCorrelationError; smaller
     negative round-off reads as zero.
     """
-    occupation, pairs, _ = _fock_moments(rho, mode)
+    occupation, pairs, _ = _fock_moments(rho)
     return _g2_ratio(occupation, pairs)
-
-
-def single_excitation_probability(rho: DensityMatrix, mode: int = 1) -> float:
-    """Population of the one-excitation Fock level of the reduced mode state."""
-    return _fock_moments(rho, mode)[2]
 
 
 def classify_statistics(g2: float) -> str:
@@ -94,7 +87,7 @@ def classify_statistics(g2: float) -> str:
 
 @dataclass(frozen=True)
 class BlockadeMetrics:
-    """Metrics of one mode, tagged with the Fock cutoff they were computed at."""
+    """Metrics of mode 1, tagged with the Fock cutoff they were computed at."""
 
     g2_zero: float
     p1: float
@@ -109,8 +102,8 @@ class BlockadeMetrics:
             raise ValueError(f"p1 = {self.p1} is not a probability")
 
 
-def blockade_metrics(rho: DensityMatrix, mode: int = 1) -> BlockadeMetrics:
-    occupation, pairs, p1 = _fock_moments(rho, mode)
+def blockade_metrics(rho: DensityMatrix) -> BlockadeMetrics:
+    occupation, pairs, p1 = _fock_moments(rho)
     g2 = _g2_ratio(occupation, pairs)
     return BlockadeMetrics(
         g2_zero=g2,

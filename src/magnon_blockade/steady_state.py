@@ -20,6 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import ModelParams, build_dissipators, hamiltonian_coefficients, hamiltonian_parts
+from .observables import g2_zero_delay
 from .operators import DensityMatrix, HilbertSpec
 
 #: Largest Hilbert dimension D for which a D^2 x D^2 generator is built.
@@ -114,17 +115,15 @@ class SteadyStateError(RuntimeError):
     pass
 
 
-@functools.lru_cache(maxsize=32)
-def permutation_orbits(spec: HilbertSpec) -> sp.csr_matrix:
-    """D^2 x m indicator of the mode-permutation orbits of the vec indices |i><j|.
+def orbit_labels(spec: HilbertSpec) -> np.ndarray:
+    """Mode-permutation orbit of each vec index |i><j|, as D^2 integer labels.
 
     Two vec indices share an orbit when their qubit rows and columns agree
-    and their per-mode pairs (a_k, b_k) agree as multisets.  Column o marks
-    the indices of orbit o; orbits are numbered by their first vec index, so
-    orbit 0 is the ground-state projector alone and at N = 1 the matrix is
-    the identity.  The transposes |j><i| of orbit o form one orbit t(o),
-    which :func:`hermitian_coordinates` pairs with o.  The cached matrix is
-    shared by every caller: do not modify it.
+    and their per-mode pairs (a_k, b_k) agree as multisets.  Orbits are
+    numbered by their first vec index, so orbit 0 is the ground-state
+    projector alone and at N = 1 the labels are 0 .. D^2 - 1.  The
+    transposes |j><i| of orbit o form one orbit t(o), which
+    :func:`hermitian_coordinates` pairs with o.
     """
     d = spec.dim
     digits = np.indices(spec.dims).reshape(len(spec.dims), d)
@@ -135,10 +134,7 @@ def permutation_orbits(spec: HilbertSpec) -> sp.csr_matrix:
     _, first, label = np.unique(keys, axis=1, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
-    return sp.csr_matrix(
-        (np.ones(d * d), (np.arange(d * d), rank[label.reshape(-1)])),
-        shape=(d * d, first.size),
-    )
+    return rank[label.reshape(-1)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -149,11 +145,12 @@ def hermitian_coordinates(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matr
     x_o = y_o + i y_t(o) and x_t(o) = y_o - i y_t(o) when o < t(o); v = W y.
     Row o of E sums over orbit o for o <= t(o), and row t(o) is that sum
     times -i for o < t(o), so Re(E L W) y = 0 holds the real and imaginary
-    parts of the orbit equations.  The cached matrices are shared and
-    read-only.
+    parts of the orbit equations.  Vec index k takes row labels[k] of the
+    m x m map c into W and column labels[k] of f into E.  The cached
+    matrices are shared and read-only.
     """
-    d, orbits = spec.dim, permutation_orbits(spec)
-    labels, m = orbits.indices, orbits.shape[1]
+    d, labels = spec.dim, orbit_labels(spec)
+    m = int(labels.max()) + 1
     k, o = np.arange(d * d), np.arange(m)
     t = np.empty(m, dtype=np.intp)
     t[labels] = labels[(k % d) * d + k // d]
@@ -162,7 +159,7 @@ def hermitian_coordinates(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matr
         (np.r_[np.ones(m), 1j * np.sign(t - o)], (np.r_[o, o], np.r_[lo, hi])), shape=(m, m)
     )
     f = sp.csr_matrix((np.where(o <= t, 1, -1j), (o, lo)), shape=(m, m))
-    w, e = (orbits @ c).tocsr(), (f @ orbits.T).tocsr()
+    w, e = c[labels], f.tocsc()[:, labels].tocsr()
     for mat in (w, e):
         mat.sort_indices()
         for arr in (mat.data, mat.indices, mat.indptr):
@@ -235,31 +232,42 @@ class TruncationError(RuntimeError):
 N_MAX_START = 2
 N_MAX_LIMIT = 8
 
+#: Relative change of g2 between successive cutoffs that counts as converged.
+TRUNCATION_RTOL = 1e-3
 
-def converge_truncation(p: ModelParams, observable, tol: float = 1e-3) -> DensityMatrix:
-    """Escalate the Fock cutoff until the observable stops moving.
 
-    observable maps a steady-state DensityMatrix to a float.  Returns the
-    steady state at the smallest cutoff whose observable agrees with the
-    next cutoff's to relative tolerance tol; that cutoff is its
+def converge_truncation(p: ModelParams) -> DensityMatrix:
+    """Escalate the Fock cutoff until g2 stops moving.
+
+    Returns the steady state at the smallest cutoff whose g2 agrees with the
+    next cutoff's to relative tolerance TRUNCATION_RTOL; that cutoff is its
     spec.fock_cutoff.  Raises TruncationError with the observed trend if no
-    two successive cutoffs up to N_MAX_LIMIT agree.
+    two successive cutoffs up to N_MAX_LIMIT agree, or, before solving a
+    cutoff, if the space of the cutoff that would confirm it exceeds
+    MAX_HILBERT_DIM.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     trend = []
     previous = None
     for n_max in range(N_MAX_START, N_MAX_LIMIT + 1):
+        # A cutoff is confirmed by the next one, so the first solve needs two spaces.
+        needed = n_max if previous is not None else n_max + 1
+        dim = p.with_(fock_cutoff=needed).hilbert_spec().dim
+        if dim > MAX_HILBERT_DIM:
+            raise TruncationError(
+                f"g2 at N = {p.n_modes} cannot be checked past fock cutoff {needed - 1}: "
+                f"cutoff {needed} has Hilbert dimension {dim}, above the generator "
+                f"cap {MAX_HILBERT_DIM}; trend: {trend}"
+            )
         rho = solve_steady_state(build_liouvillian(p.with_(fock_cutoff=n_max)))
-        value = observable(rho)
+        value = g2_zero_delay(rho)
         trend.append((n_max, value))
         if previous is not None:
             prev_rho, prev_value = previous
             scale = max(abs(value), abs(prev_value), 1e-300)
-            if abs(value - prev_value) / scale < tol:
+            if abs(value - prev_value) / scale < TRUNCATION_RTOL:
                 return prev_rho
         previous = rho, value
     raise TruncationError(
-        f"observable did not converge to rtol {tol} by fock cutoff "
+        f"g2 did not converge to rtol {TRUNCATION_RTOL} by fock cutoff "
         f"{N_MAX_LIMIT}; trend: {trend}"
     )

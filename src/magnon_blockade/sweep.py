@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import amplitudes_for, g2_analytic, theta_optimal_exact
+from .analytic import amplitudes_for, g2_analytic, optimal_conditions, theta_optimal_exact
 from .model import ModelParams
 from .observables import blockade_metrics, classify_statistics, g2_zero_delay
 from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
@@ -46,6 +46,10 @@ class SweepSpec:
         bad = set(self.engines) - set(ENGINES)
         if bad or not self.engines:
             raise ValueError(f"engines must be a nonempty subset of {ENGINES}")
+        if self.probe_tracks_drive is not None and self.axis != "drive_rabi":
+            raise ValueError(
+                f"probe_tracks_drive applies to the drive_rabi axis, not {self.axis!r}"
+            )
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
 
 
@@ -120,7 +124,7 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
             g2_an, _ = g2_analytic(amps)
             p1 = amps.p_g1
         if "numeric" in spec.engines:
-            metrics = blockade_metrics(converge_truncation(p, g2_zero_delay))
+            metrics = blockade_metrics(converge_truncation(p))
             g2_num = metrics.g2_zero
             p1 = metrics.p1
             occupation = metrics.occupation
@@ -229,22 +233,26 @@ class ScalingReport:
 def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -> ScalingReport:
     """Locate the numeric blockade optimum per mode count and fit its scaling.
 
-    For each N the optimal (detuning, probe, phase) triple is found by two
-    rounds of coordinate descent with golden-section line searches on the
-    numeric g2, at drive 0.001 and Fock cutoff 2; the three optimized ratios
-    are then regressed against N on log-log axes.  Expected exponents:
-    +1/2, +1/2, -1/2.
+    For each N, two rounds of coordinate descent with golden-section line
+    searches on the numeric g2, at drive 0.001 and Fock cutoff 2, start from
+    optimal_conditions(N, r) and bracket the detuning in 0.7..1.3 sqrt(N) J,
+    the probe in 2..4 sqrt(N) drives and the phase in 0.3..2 times its start.
+    The three optimized ratios are then regressed against N on log-log axes;
+    expected exponents: +1/2, +1/2, -1/2.  Bad N, r or coupling raise
+    ValueError before any solve; a failed search is recorded in its entry.
     """
+    if coupling <= 0:
+        raise ValueError("coupling must be positive")
     kappa, drive = r * coupling, 0.001
+    starts = [(n, optimal_conditions(n, r)) for n in n_list]
     entries = []
-    for n in n_list:
-        root_n = math.sqrt(n)
-        theta0 = 2 * r / (3 * root_n)
+    for n, start in starts:
+        root_n, theta0 = start.delta_over_j, start.theta_general
         p = ModelParams(
             n_modes=n,
             delta=root_n * coupling,
             coupling=coupling,
-            probe_rabi=3 * root_n * drive,
+            probe_rabi=start.probe_over_drive * drive,
             drive_rabi=drive,
             phase=theta0,
             decay=kappa,

@@ -3,7 +3,8 @@
 None of these runs in a command or a sweep: density-matrix validity, the
 generator's trace preservation, time evolution as the check of the direct
 solve, the paper's closed-form probabilities as the check of the amplitude
-solve, and the one-excitation spectrum.
+solve, the one-excitation spectrum, and a per-mode occupation for states
+that need not be mode-symmetric.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
 from magnon_blockade.model import ModelParams, build_effective_hamiltonian, hamiltonian_parts
-from magnon_blockade.operators import DensityMatrix
+from magnon_blockade.operators import DensityMatrix, partial_trace
 from magnon_blockade.steady_state import (
     Liouvillian,
     SteadyStateError,
@@ -42,6 +43,17 @@ def validate(rho: DensityMatrix) -> DensityMatrix:
     if w.min() < -POSITIVITY_TOL:
         raise ValueError(f"density matrix not positive: min eigenvalue {w.min():.3e}")
     return rho
+
+
+def mode_occupation(rho: DensityMatrix, mode: int) -> float:
+    """<n> of one mode, from the diagonal of its reduced state.
+
+    The package reads mode 1 only, which stands for every mode of the
+    symmetric solve; states from the full-space solve or time evolution
+    can differ between modes.
+    """
+    populations = np.real(np.diagonal(partial_trace(rho, mode)))
+    return float(np.arange(populations.size) @ populations)
 
 
 def trace_residual(lv: Liouvillian) -> float:

@@ -16,11 +16,7 @@ from magnon_blockade.analytic import (
     theta_optimal_exact,
 )
 from magnon_blockade.model import ModelParams
-from magnon_blockade.observables import (
-    g2_zero_delay,
-    mode_occupation,
-    single_excitation_probability,
-)
+from magnon_blockade.observables import blockade_metrics, g2_zero_delay
 from magnon_blockade.operators import DensityMatrix, fock_annihilation
 from magnon_blockade.steady_state import (
     build_liouvillian,
@@ -28,7 +24,14 @@ from magnon_blockade.steady_state import (
     solve_steady_state,
 )
 from magnon_blockade.sweep import find_minimum, verify_scaling
-from oracles import evolve_to_steady_state, intermediates, trace_distance, trace_residual, validate
+from oracles import (
+    evolve_to_steady_state,
+    intermediates,
+    mode_occupation,
+    trace_distance,
+    trace_residual,
+    validate,
+)
 
 S2 = math.sqrt(2)
 
@@ -56,10 +59,11 @@ def two_mode_params(drive, theta, kappa=0.5, coupling=20.0, fock_cutoff=4):
 def numeric_point(p, converge=True):
     """(log10 g2, p1) at a parameter point, Fock cutoff escalated on demand."""
     if converge:
-        rho = converge_truncation(p, g2_zero_delay, tol=1e-3)
+        rho = converge_truncation(p)
     else:
         rho = solve_steady_state(build_liouvillian(p))
-    return math.log10(g2_zero_delay(rho)), single_excitation_probability(rho)
+    metrics = blockade_metrics(rho)
+    return math.log10(metrics.g2_zero), metrics.p1
 
 
 def check(label, value, target, tol):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import magnon_blockade
+from magnon_blockade import steady_state
 from magnon_blockade.cli import (
     CSV_HEADER,
     ConfigError,
@@ -115,6 +116,22 @@ class TestSteadyG2:
         assert main(["steady", "g2", *BASE_FLAGS, "--converge"]) == 0
         assert "n_max = 2" in capsys.readouterr().out
 
+    def test_nonconvergence_exit_2(self, capsys, monkeypatch):
+        # With a single cutoff to try, escalation cannot converge.
+        monkeypatch.setattr(steady_state, "N_MAX_LIMIT", steady_state.N_MAX_START)
+        assert main(["steady", "g2", *BASE_FLAGS, "--converge"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: g2 did not converge")
+        assert captured.out == ""
+
+    def test_singular_solve_exit_2(self, capsys, monkeypatch):
+        def singular(lv):
+            raise steady_state.SteadyStateError("non-unique steady state: test")
+
+        monkeypatch.setattr("magnon_blockade.cli.solve_steady_state", singular)
+        assert main(["steady", "g2", *BASE_FLAGS]) == 2
+        assert capsys.readouterr().err == "error: non-unique steady state: test\n"
+
 
 class TestSweepCommand:
     def sweep_args(self, output):
@@ -174,6 +191,11 @@ class TestSweepCommand:
         assert "UndefinedCorrelationError" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # failed rows still emitted
+
+    def test_probe_tracking_off_drive_axis_exit_1(self, tmp_path, capsys):
+        args = [*self.sweep_args(str(tmp_path / "sweep.csv")), "--probe-tracks-drive", "5"]
+        assert main(args) == 1
+        assert "probe_tracks_drive applies to the drive_rabi axis" in capsys.readouterr().err
 
     def test_missing_grid_exit_1(self, capsys):
         assert main(["sweep", *BASE_FLAGS, "--axis", "theta"]) == 1
@@ -240,6 +262,21 @@ class TestVerifyScalingCommand:
         assert main(["verify-scaling", "--n-list", "1,x"]) == 1
         assert "configuration error: --n-list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-list", "0,1"], "n_modes must be at least 1"),
+            (["--n-list", "-1"], "n_modes must be at least 1"),
+            (["--r", "-0.5"], "r must be positive"),
+            (["--coupling", "0"], "coupling must be positive"),
+        ],
+    )
+    def test_bad_input_exit_1(self, flags, message, capsys):
+        assert main(["verify-scaling", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
     def test_failed_entry_exit_2(self, capsys):
         # N = 6 at the default cutoff exceeds the generator cap.
         assert main(["verify-scaling", "--n-list", "1,6"]) == 2
@@ -262,6 +299,19 @@ class TestPresetCommand:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 3
         assert "fig2_tiny.csv (2 rows, 0 failed)" in capsys.readouterr().out
+
+    def test_failed_row_reason_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # Drive 0 leaves the mode empty, so g2 is undefined on that row.
+        base = ModelParams(1, 35.0, 35.0, 0.003, 0.001, 0.0, 0.5, 2)
+        series = [
+            ("drive", SweepSpec(base, "drive_rabi", (0.0, 0.001), probe_tracks_drive=3.0)),
+        ]
+        monkeypatch.setattr("magnon_blockade.cli.preset_sweeps", lambda name: series)
+        assert main(["preset", "fig3", "--output-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "fig3_drive.csv (2 rows, 1 failed)" in captured.out
+        assert "row 0: UndefinedCorrelationError" in captured.err
+        assert len((tmp_path / "fig3_drive.csv").read_text().splitlines()) == 3
 
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

@@ -12,8 +12,6 @@ from magnon_blockade.observables import (
     blockade_metrics,
     classify_statistics,
     g2_zero_delay,
-    mode_occupation,
-    single_excitation_probability,
 )
 from magnon_blockade.operators import (
     DensityMatrix,
@@ -50,7 +48,7 @@ def coherent_state(alpha, fock_cutoff):
 class TestOccupationAndG2:
     def test_single_fock_level_blocks_pairs(self):
         rho = mode_state([0.0, 1.0, 0.0], fock_cutoff=2)
-        assert mode_occupation(rho) == pytest.approx(1.0)
+        assert blockade_metrics(rho).occupation == pytest.approx(1.0)
         assert g2_zero_delay(rho) == 0.0
 
     def test_two_quanta_fock_level(self):
@@ -64,7 +62,7 @@ class TestOccupationAndG2:
 
     def test_coherent_state_is_poissonian(self):
         rho = coherent_state(0.1, fock_cutoff=10)
-        assert mode_occupation(rho) == pytest.approx(0.01, rel=1e-10)
+        assert blockade_metrics(rho).occupation == pytest.approx(0.01, rel=1e-10)
         assert g2_zero_delay(rho) == pytest.approx(1.0, abs=1e-8)
 
     def test_negative_pair_moment_raises(self):
@@ -98,15 +96,13 @@ class TestOccupationAndG2:
 class TestSingleExcitationProbability:
     def test_product_state(self):
         rho = mode_state([0.6, 0.3, 0.1], fock_cutoff=2, qubit_excited=0.2)
-        assert single_excitation_probability(rho) == pytest.approx(0.3)
+        assert blockade_metrics(rho).p1 == pytest.approx(0.3)
 
     def test_sums_over_qubit_sectors(self):
         spec = HilbertSpec(n_modes=1, fock_cutoff=1)
         # |g1><g1| weight 0.25, |e1><e1| weight 0.25, rest in |g0>.
         rho = np.diag([0.5, 0.25, 0.0, 0.25]).astype(complex)
-        assert single_excitation_probability(
-            DensityMatrix(rho, spec)
-        ) == pytest.approx(0.5)
+        assert blockade_metrics(DensityMatrix(rho, spec)).p1 == pytest.approx(0.5)
 
 
 class TestClassification:

@@ -8,10 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magnon_blockade.model import ModelParams, build_dissipators, build_effective_hamiltonian
-from magnon_blockade.observables import blockade_metrics, g2_zero_delay, mode_occupation
+from magnon_blockade import steady_state
+from magnon_blockade.observables import blockade_metrics, g2_zero_delay
 from magnon_blockade.operators import DensityMatrix, HilbertSpec, mode_annihilation, qubit_sigma_minus
 from magnon_blockade.steady_state import (
     DENSE_SOLVE_MAX_ROWS,
+    MAX_HILBERT_DIM,
+    N_MAX_START,
+    TRUNCATION_RTOL,
     Liouvillian,
     SteadyStateError,
     TruncationError,
@@ -20,12 +24,18 @@ from magnon_blockade.steady_state import (
     generator_parts,
     hermitian_coordinates,
     liouvillian_matrix,
-    permutation_orbits,
+    orbit_labels,
     solve_steady_state,
     unvectorize,
     vectorize,
 )
-from oracles import evolve_to_steady_state, trace_distance, trace_residual, validate
+from oracles import (
+    evolve_to_steady_state,
+    mode_occupation,
+    trace_distance,
+    trace_residual,
+    validate,
+)
 
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
@@ -187,7 +197,7 @@ class TestSolveSteadyState:
         p = ModelParams(1, 0.0, 0.0, 0.0, omega, 0.0, kappa, fock_cutoff=6)
         rho = solve_steady_state(build_liouvillian(p))
         validate(rho)
-        occupation = mode_occupation(rho)
+        occupation = blockade_metrics(rho).occupation
         assert occupation == pytest.approx(4 * omega**2 / kappa**2, rel=1e-6)
         assert g2_zero_delay(rho) == pytest.approx(1.0, abs=1e-6)
 
@@ -267,25 +277,24 @@ class TestPermutationOrbits:
         local = (cutoff + 1) ** 2
         assert count == 4 * math.comb(local + n_modes - 1, n_modes)
         spec = HilbertSpec(n_modes, cutoff)
-        orbits = permutation_orbits(spec)
-        assert orbits.shape == (spec.dim**2, count)
-        # Every vec index lies in exactly one orbit.
-        assert np.array_equal(np.asarray(orbits.sum(axis=1)).ravel(), np.ones(spec.dim**2))
+        labels = orbit_labels(spec)
+        # One label per vec index, and every orbit 0 .. count - 1 is used.
+        assert labels.shape == (spec.dim**2,)
+        assert np.array_equal(np.unique(labels), np.arange(count))
         # Orbit 0 is the ground-state projector alone.
-        assert orbits[:, 0].nonzero()[0].tolist() == [0]
+        assert np.flatnonzero(labels == 0).tolist() == [0]
 
     def test_single_mode_is_identity(self):
-        orbits = permutation_orbits(HilbertSpec(1, 4))
-        assert (orbits != sp.identity(100)).nnz == 0
+        assert np.array_equal(orbit_labels(HilbertSpec(1, 4)), np.arange(100))
 
     def test_orbits_are_mode_swaps(self):
         # N = 2, cutoff 1: |g,1,0><g,0,1| and |g,0,1><g,1,0| swap modes and
         # share an orbit; |g,1,0><g,1,0| and |g,1,0><g,0,1| do not.
         spec = HilbertSpec(2, 1)
-        orbits = permutation_orbits(spec).tocsr()
+        labels = orbit_labels(spec)
 
         def orbit(i, j):
-            return orbits[i + j * spec.dim].nonzero()[1][0]
+            return labels[i + j * spec.dim]
 
         g10, g01 = 2, 1
         assert orbit(g10, g01) == orbit(g01, g10)
@@ -303,7 +312,7 @@ def swap_first_modes(rho: np.ndarray, spec: HilbertSpec) -> np.ndarray:
 
 def transpose_partners(spec: HilbertSpec) -> np.ndarray:
     """t(o): the orbit of the transposed entries of orbit o."""
-    labels, d = permutation_orbits(spec).indices, spec.dim
+    labels, d = orbit_labels(spec), spec.dim
     k = np.arange(d * d)
     partner = np.empty(labels.max() + 1, dtype=np.intp)
     partner[labels] = labels[(k % d) * d + k // d]
@@ -315,7 +324,7 @@ class TestHermitianCoordinates:
     def test_one_real_unknown_per_orbit(self, n_modes, cutoff):
         spec = HilbertSpec(n_modes, cutoff)
         w, e = hermitian_coordinates(spec)
-        m = permutation_orbits(spec).shape[1]
+        m = orbit_labels(spec).max() + 1
         assert w.shape == (spec.dim**2, m)
         assert e.shape == (m, spec.dim**2)
         partner = transpose_partners(spec)
@@ -344,7 +353,9 @@ class TestHermitianCoordinates:
         _, e = hermitian_coordinates(spec)
         rng = np.random.default_rng(5)
         x = rng.normal(size=spec.dim**2) + 1j * rng.normal(size=spec.dim**2)
-        sums = permutation_orbits(spec).T @ x
+        labels = orbit_labels(spec)
+        sums = np.zeros(labels.max() + 1, dtype=complex)
+        np.add.at(sums, labels, x)
         got = (e @ x).real
         for o, t in enumerate(transpose_partners(spec)):
             want = sums[o].real if o <= t else sums[t].imag
@@ -459,38 +470,43 @@ class TestTraceDistance:
 class TestConvergeTruncation:
     def test_weak_drive_converges_at_smallest_cutoff(self):
         p = fig2_params(drive=0.001)
-        rho = converge_truncation(p, g2_zero_delay)
+        rho = converge_truncation(p)
         assert rho.spec.fock_cutoff == 2
         direct = g2_zero_delay(
             solve_steady_state(build_liouvillian(p.with_(fock_cutoff=2)))
         )
         assert g2_zero_delay(rho) == pytest.approx(direct, rel=1e-3)
 
-    def test_undriven_occupation_converges_immediately(self):
-        p = ModelParams(1, 35.0, 35.0, 0.0, 0.0, 0.0, 0.5, fock_cutoff=4)
-        rho = converge_truncation(p, mode_occupation)
-        assert mode_occupation(rho) == pytest.approx(0.0, abs=1e-14)
-        assert rho.spec.fock_cutoff == 2
-
     def test_reported_cutoff_reproduces_value(self):
         # The returned cutoff is converged: one more Fock level moves g2 by
-        # less than tol.
+        # less than the tolerance.
         p = fig2_params(drive=0.1)
-        tol = 1e-3
-        rho = converge_truncation(p, g2_zero_delay, tol=tol)
+        rho = converge_truncation(p)
         value = g2_zero_delay(rho)
         one_more = g2_zero_delay(
             solve_steady_state(
                 build_liouvillian(p.with_(fock_cutoff=rho.spec.fock_cutoff + 1))
             )
         )
-        assert abs(value - one_more) / max(value, one_more) < tol
+        assert abs(value - one_more) / max(value, one_more) < TRUNCATION_RTOL
 
-    def test_nonconverging_observable_raises(self):
-        p = fig2_params(drive=0.001)
+    def test_nonconverging_observable_raises(self, monkeypatch):
+        # With a single cutoff to try, nothing can confirm it.
+        monkeypatch.setattr(steady_state, "N_MAX_LIMIT", N_MAX_START)
         with pytest.raises(TruncationError, match="trend"):
-            converge_truncation(p, lambda rho: float(rho.spec.fock_cutoff))
+            converge_truncation(fig2_params(drive=0.001))
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tol"):
-            converge_truncation(fig2_params(), g2_zero_delay, tol=0.0)
+    def test_generator_cap_stops_escalation_before_solving(self, monkeypatch):
+        # At N = 4 cutoff 2 fits the cap (D = 162) but cutoff 3 does not
+        # (D = 512), so no cutoff can be confirmed and nothing is solved.
+        def no_solve(lv):
+            raise AssertionError("converge_truncation solved a point")
+
+        monkeypatch.setattr(steady_state, "solve_steady_state", no_solve)
+        p = ModelParams(4, 40.0, 20.0, 0.6, 0.1, 0.0, 0.5)
+        assert p.with_(fock_cutoff=3).hilbert_spec().dim > MAX_HILBERT_DIM
+        with pytest.raises(TruncationError) as info:
+            converge_truncation(p)
+        message = str(info.value)
+        for part in ("N = 4", "cutoff 3", "dimension 512", f"cap {MAX_HILBERT_DIM}", "trend: []"):
+            assert part in message

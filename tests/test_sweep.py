@@ -43,6 +43,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="engines"):
             SweepSpec(fig2_params(), "theta", (0.0, 1.0), engines=("exact",))
 
+    def test_probe_tracking_needs_drive_axis(self):
+        with pytest.raises(ValueError, match="drive_rabi axis, not 'theta'"):
+            SweepSpec(fig2_params(), "theta", (0.0, 1.0), probe_tracks_drive=5.0)
+
 
 class TestApplyAxis:
     def test_delta_over_j(self):
@@ -177,6 +181,23 @@ class TestVerifyScaling:
         assert entry.min_g2 > 0
         # A single mode count cannot support a fit.
         assert report.exponents == {}
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_list": (0, 1)}, "n_modes must be at least 1"),
+            ({"n_list": (1, -1)}, "n_modes must be at least 1"),
+            ({"r": -0.5}, "r must be positive"),
+            ({"coupling": 0.0}, "coupling must be positive"),
+        ],
+    )
+    def test_bad_input_raises_before_any_search(self, kwargs, message, monkeypatch):
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("verify_scaling searched before checking its input")
+
+        monkeypatch.setattr(sweep, "find_minimum", no_search)
+        with pytest.raises(ValueError, match=message):
+            verify_scaling(**kwargs)
 
 
 class TestPresets:
