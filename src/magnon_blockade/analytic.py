@@ -158,6 +158,8 @@ def theta_optimal_exact(n_modes: int, r: float) -> float | None:
 def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if r <= 0:
         raise ValueError("r must be positive")
     root_n = math.sqrt(n_modes)

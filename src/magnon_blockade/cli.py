@@ -2,12 +2,15 @@
 
 Subcommands: `steady g2`, `sweep`, `optimize`, `verify-scaling`, and
 `preset fig2..fig7`.  Parameters come from flags and/or a flat key=value
-config file; flags win.  All rates are in units of gamma (gamma / 2 pi =
-1 MHz), angles in radians.
+config file, read once per command; flags win.  Each key of PARAM_KEYS and
+SWEEP_KEYS is also the flag `--` + key with `_` turned into `-`.  All rates
+are in units of gamma (gamma / 2 pi = 1 MHz), angles in radians.
 
 Exit codes: 0 success, 1 configuration error (any ValueError the library
-raises for the given input), 2 when any sweep row or scaling entry failed
-or a single-point solve did not converge or had no unique steady state.
+raises for the given input, a bad grid_scale, or an OSError such as a
+missing config file or an unusable output path), 2 when any sweep row or
+scaling entry failed or a single-point solve did not converge or had no
+unique steady state.
 """
 
 from __future__ import annotations
@@ -58,12 +61,20 @@ PARAM_KEYS = {
 }
 
 SWEEP_KEYS = {
-    "engine": str,
     "axis": str,
     "grid_start": float,
     "grid_stop": float,
     "grid_points": int,
     "grid_scale": str,
+    "engine": str,
+}
+
+FLAG_HELP = {
+    "fock_cutoff": (
+        "Fock cutoff of `steady g2` without --converge and of numeric `optimize` "
+        "(default 4); numeric `sweep` rows escalate from 2 to 8 and ignore it"),
+    "grid_scale": "lin (default) or log",
+    "engine": "numeric, analytic, or numeric,analytic",
 }
 
 
@@ -92,23 +103,23 @@ def load_config(path: str) -> dict:
     return values
 
 
+def _add_key_flags(parser: argparse.ArgumentParser, keys: dict):
+    """One --flag per config key: `--` + the key with `_` turned into `-`."""
+    for key, kind in keys.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=kind, dest=key, help=FLAG_HELP.get(key)
+        )
+
+
 def _add_param_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key=value parameter file")
-    parser.add_argument("--n-modes", type=int, dest="n_modes")
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--coupling", type=float)
-    parser.add_argument("--probe-rabi", type=float, dest="probe_rabi")
-    parser.add_argument("--drive-rabi", type=float, dest="drive_rabi")
-    parser.add_argument("--phase", type=float)
-    parser.add_argument("--decay", type=float)
-    parser.add_argument("--fock-cutoff", type=int, dest="fock_cutoff", help=(
-        "Fock cutoff of `steady g2` without --converge and of numeric `optimize` "
-        "(default 4); numeric `sweep` rows escalate from 2 to 8 and ignore it"))
+    _add_key_flags(parser, PARAM_KEYS)
 
 
-def _collect_params(args) -> ModelParams:
+def _collect_params(args) -> tuple[ModelParams, dict]:
+    """The model parameters and every config value, read once; flags win."""
     values = load_config(args.config) if args.config else {}
-    for key in PARAM_KEYS:
+    for key in (*PARAM_KEYS, *SWEEP_KEYS):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -116,16 +127,9 @@ def _collect_params(args) -> ModelParams:
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
     try:
-        return ModelParams(**{k: v for k, v in values.items() if k in PARAM_KEYS})
+        return ModelParams(**{k: v for k, v in values.items() if k in PARAM_KEYS}), values
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _collect_sweep_key(args, values, key):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        values[key] = flag
-    return values.get(key)
 
 
 def _format(value) -> str:
@@ -157,7 +161,7 @@ def _emit_records(records, output: str | None) -> int:
 
 
 def cmd_steady_g2(args) -> int:
-    p = _collect_params(args)
+    p, _ = _collect_params(args)
     if args.converge:
         rho = converge_truncation(p)
     else:
@@ -173,14 +177,12 @@ def cmd_steady_g2(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _collect_params(args)
-    values = load_config(args.config) if args.config else {}
-    axis = _collect_sweep_key(args, values, "axis")
-    start = _collect_sweep_key(args, values, "grid_start")
-    stop = _collect_sweep_key(args, values, "grid_stop")
-    points = _collect_sweep_key(args, values, "grid_points")
-    scale = _collect_sweep_key(args, values, "grid_scale") or "lin"
-    engine = _collect_sweep_key(args, values, "engine") or "numeric"
+    base, values = _collect_params(args)
+    axis, start, stop, points = (
+        values.get(k) for k in ("axis", "grid_start", "grid_stop", "grid_points")
+    )
+    scale = values.get("grid_scale") or "lin"
+    engine = values.get("engine") or "numeric"
     if axis is None or start is None or stop is None or points is None:
         raise ConfigError("sweep requires axis, grid_start, grid_stop, grid_points")
     if scale not in ("lin", "log"):
@@ -207,7 +209,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    base = _collect_params(args)
+    base, _ = _collect_params(args)
     argmin, minimum = find_minimum(
         base,
         args.axis,
@@ -271,12 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep one axis and emit CSV")
     _add_param_flags(sweep)
-    sweep.add_argument("--axis")
-    sweep.add_argument("--grid-start", type=float, dest="grid_start")
-    sweep.add_argument("--grid-stop", type=float, dest="grid_stop")
-    sweep.add_argument("--grid-points", type=int, dest="grid_points")
-    sweep.add_argument("--grid-scale", choices=("lin", "log"), dest="grid_scale")
-    sweep.add_argument("--engine", help="numeric, analytic, or numeric,analytic")
+    _add_key_flags(sweep, SWEEP_KEYS)
     sweep.add_argument("--probe-tracks-drive", type=float, dest="probe_tracks_drive",
                        help="on drive sweeps, keep probe at this multiple of drive")
     sweep.add_argument("--workers", type=int, default=1)
@@ -312,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (TruncationError, SteadyStateError) as exc:

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import amplitudes_for, g2_analytic, optimal_conditions, theta_optimal_exact
+from .analytic import amplitudes_for, g2_analytic, optimal_conditions
 from .model import ModelParams
 from .observables import blockade_metrics, classify_statistics, g2_zero_delay
-from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
+from .steady_state import (
+    MAX_HILBERT_DIM, build_liouvillian, converge_truncation, solve_steady_state,
+)
 
 AXES = ("delta_over_j", "probe_over_drive", "theta", "drive_rabi", "kappa")
 ENGINES = ("numeric", "analytic")
@@ -239,8 +241,12 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
     the probe in 2..4 sqrt(N) drives and the phase in 0.3..2 times its start.
     The three optimized ratios are then regressed against N on log-log axes;
     expected exponents: +1/2, +1/2, -1/2.  Bad N, r or coupling raise
-    ValueError before any solve; a failed search is recorded in its entry.
+    ValueError before any solve.  A failed search is recorded in its entry,
+    and so is an N whose cutoff-2 space exceeds MAX_HILBERT_DIM, without a
+    search: cutoff 2 reaches N <= 5.
     """
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling <= 0:
         raise ValueError("coupling must be positive")
     kappa, drive = r * coupling, 0.001
@@ -258,27 +264,23 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
             decay=kappa,
             fock_cutoff=2,
         )
+        searches = (
+            ("delta_over_j", (0.7 * root_n, 1.3 * root_n)),
+            ("probe_over_drive", (2.0 * root_n, 4.0 * root_n)),
+            ("theta", (0.3 * theta0, 2.0 * theta0)),
+        )
         try:
-            best = math.inf
+            dim = p.hilbert_spec().dim
+            if dim > MAX_HILBERT_DIM:
+                raise ValueError(
+                    f"N = {n} has Hilbert dimension {dim} at Fock cutoff 2, above the "
+                    f"generator cap {MAX_HILBERT_DIM}; verify_scaling runs at Fock "
+                    "cutoff 2, so it reaches N <= 5"
+                )
             for _ in range(2):
-                d, _ = find_minimum(
-                    p, "delta_over_j",
-                    (0.7 * root_n, 1.3 * root_n),
-                    n_scan=9, rel_tol=1e-4,
-                )
-                p = p.with_(delta=d * coupling)
-                q, _ = find_minimum(
-                    p, "probe_over_drive",
-                    (2.0 * root_n, 4.0 * root_n),
-                    n_scan=9, rel_tol=1e-4,
-                )
-                p = p.with_(probe_rabi=q * drive)
-                th, best = find_minimum(
-                    p, "theta",
-                    (0.3 * theta0, 2.0 * theta0),
-                    n_scan=9, rel_tol=1e-4,
-                )
-                p = p.with_(phase=th)
+                for axis, bracket in searches:
+                    value, best = find_minimum(p, axis, bracket, n_scan=9, rel_tol=1e-4)
+                    p = apply_axis(p, axis, value)
             entries.append(
                 ScalingEntry(
                     n_modes=n,
@@ -297,13 +299,9 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
     exponents = {}
     if len(good) >= 2:
         log_n = np.log([e.n_modes for e in good])
-        for name, values in (
-            ("delta_over_j", [e.delta_over_j for e in good]),
-            ("probe_over_drive", [e.probe_over_drive for e in good]),
-            ("theta_times_j_over_kappa", [e.theta_times_j_over_kappa for e in good]),
-        ):
-            slope = np.polyfit(log_n, np.log(values), 1)[0]
-            exponents[name] = float(slope)
+        for name in ("delta_over_j", "probe_over_drive", "theta_times_j_over_kappa"):
+            values = [getattr(e, name) for e in good]
+            exponents[name] = float(np.polyfit(log_n, np.log(values), 1)[0])
     return ScalingReport(r=r, entries=tuple(entries), exponents=exponents)
 
 
@@ -312,32 +310,41 @@ def _theta_sweep_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(lo + k * step for k in range(n))
 
 
-def _geometric_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.geomspace(lo, hi, n))
+def _conditions_point(n: int, coupling: float, decay: float, drive: float):
+    """The cutoff-4 point at phase 0 that meets optimal_conditions(n,
+    decay / coupling), and those conditions."""
+    c = optimal_conditions(n, decay / coupling)
+    p = ModelParams(
+        n, c.delta_over_j * coupling, coupling, c.probe_over_drive * drive, drive, 0.0, decay, 4
+    )
+    return p, c
 
 
 def preset_sweeps(name: str) -> list[tuple[str, SweepSpec]]:
-    """Pinned figure-reproduction sweeps, one (label, spec) pair per series."""
-    s2 = math.sqrt(2)
-    if name == "fig2":
-        theta_grid = _theta_sweep_grid(-0.01, 0.02, 5e-4)
-        out = []
-        for om in (0.001, 0.05, 0.1):
-            base = ModelParams(1, 35.0, 35.0, 3 * om, om, 0.0, 0.5, 4)
-            out.append(
-                (f"drive{om:g}",
-                 SweepSpec(base, "theta", theta_grid, ("numeric", "analytic")))
-            )
-        return out
-    if name == "fig3":
+    """Pinned figure-reproduction sweeps, one (label, spec) pair per series.
+
+    fig2/fig6 (phase) and fig3/fig7 (drive) are the same sweeps at N = 1 and
+    N = 2; they and fig5 start from optimal_conditions(N, kappa/J).  fig4
+    sweeps the detuning itself and so sets its base point directly.
+    """
+    if name in ("fig2", "fig6"):
+        n, j, theta_hi = (1, 35.0, 0.02) if name == "fig2" else (2, 20.0, 0.025)
+        grid = _theta_sweep_grid(-0.01, theta_hi, 5e-4)
+        return [
+            (f"drive{om:g}",
+             SweepSpec(_conditions_point(n, j, 0.5, om)[0], "theta", grid, ENGINES))
+            for om in (0.001, 0.05, 0.1)
+        ]
+    if name in ("fig3", "fig7"):
+        n, j = (1, 35.0) if name == "fig3" else (2, 20.0)
         out = []
         for kappa in (0.1, 0.5, 1.0, 1.5):
-            theta = theta_optimal_exact(1, kappa / 35.0)
-            base = ModelParams(1, 35.0, 35.0, 3 * 0.005, 0.005, theta, kappa, 4)
+            base, c = _conditions_point(n, j, kappa, 0.005)
             out.append(
                 (f"kappa{kappa:g}",
-                 SweepSpec(base, "drive_rabi", _geometric_grid(0.005, 0.5, 25),
-                           ("numeric",), probe_tracks_drive=3.0))
+                 SweepSpec(base.with_(phase=c.theta_exact), "drive_rabi",
+                           tuple(float(v) for v in np.geomspace(0.005, 0.5, 25)),
+                           probe_tracks_drive=c.probe_over_drive))
             )
         return out
     if name == "fig4":
@@ -349,32 +356,9 @@ def preset_sweeps(name: str) -> list[tuple[str, SweepSpec]]:
         return out
     if name == "fig5":
         grid = tuple(float(v) for v in np.linspace(1.0, 8.0, 71))
-        out = []
-        for j in (1.0, 5.0, 10.0, 20.0):
-            base = ModelParams(2, s2 * j, j, 3 * s2 * 0.1, 0.1, 0.0, 1.0, 4)
-            out.append((f"coupling{j:g}", SweepSpec(base, "probe_over_drive", grid)))
-        return out
-    if name == "fig6":
-        theta_grid = _theta_sweep_grid(-0.01, 0.025, 5e-4)
-        out = []
-        for om in (0.001, 0.05, 0.1):
-            base = ModelParams(2, s2 * 20.0, 20.0, 3 * s2 * om, om, 0.0, 0.5, 4)
-            out.append(
-                (f"drive{om:g}",
-                 SweepSpec(base, "theta", theta_grid, ("numeric", "analytic")))
-            )
-        return out
-    if name == "fig7":
-        out = []
-        for kappa in (0.1, 0.5, 1.0, 1.5):
-            theta = theta_optimal_exact(2, kappa / 20.0)
-            base = ModelParams(
-                2, s2 * 20.0, 20.0, 3 * s2 * 0.005, 0.005, theta, kappa, 4
-            )
-            out.append(
-                (f"kappa{kappa:g}",
-                 SweepSpec(base, "drive_rabi", _geometric_grid(0.005, 0.5, 25),
-                           ("numeric",), probe_tracks_drive=3 * s2))
-            )
-        return out
+        return [
+            (f"coupling{j:g}",
+             SweepSpec(_conditions_point(2, j, 1.0, 0.1)[0], "probe_over_drive", grid))
+            for j in (1.0, 5.0, 10.0, 20.0)
+        ]
     raise ValueError(f"unknown preset {name!r}; choose fig2..fig7")

@@ -213,6 +213,17 @@ class TestSweepCommand:
         assert main(args) == 1
         assert "positive" in capsys.readouterr().err
 
+    def test_bad_grid_scale_exit_1(self, tmp_path, capsys):
+        args = [*self.sweep_args(str(tmp_path / "sweep.csv")), "--grid-scale", "cubic"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: grid_scale must be lin or log, got 'cubic'\n"
+        )
+
+    def test_output_directory_exit_1(self, tmp_path, capsys):
+        assert main(self.sweep_args(str(tmp_path))) == 1
+        assert "configuration error: [Errno 21] Is a directory" in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_phase_optimum(self, capsys):
@@ -269,6 +280,10 @@ class TestVerifyScalingCommand:
             (["--n-list", "-1"], "n_modes must be at least 1"),
             (["--r", "-0.5"], "r must be positive"),
             (["--coupling", "0"], "coupling must be positive"),
+            (["--r", "nan"], "r must be finite, got nan"),
+            (["--r", "inf"], "r must be finite, got inf"),
+            (["--coupling", "nan"], "coupling must be finite, got nan"),
+            (["--coupling", "inf"], "coupling must be finite, got inf"),
         ],
     )
     def test_bad_input_exit_1(self, flags, message, capsys):
@@ -282,7 +297,8 @@ class TestVerifyScalingCommand:
         assert main(["verify-scaling", "--n-list", "1,6"]) == 2
         out = capsys.readouterr().out
         assert "N=1: delta/J" in out
-        assert "N=6: FAILED" in out
+        assert "N=6: FAILED (ValueError: N = 6 has Hilbert dimension 1458" in out
+        assert "verify_scaling runs at Fock cutoff 2, so it reaches N <= 5)" in out
 
 
 class TestPresetCommand:
@@ -312,6 +328,12 @@ class TestPresetCommand:
         assert "fig3_drive.csv (2 rows, 1 failed)" in captured.out
         assert "row 0: UndefinedCorrelationError" in captured.err
         assert len((tmp_path / "fig3_drive.csv").read_text().splitlines()) == 3
+
+    def test_output_dir_is_a_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["preset", "fig2", "--output-dir", str(path)]) == 1
+        assert "configuration error: [Errno 17] File exists" in capsys.readouterr().err
 
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

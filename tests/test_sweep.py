@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magnon_blockade import sweep
-from magnon_blockade.analytic import theta_optimal_exact
+from magnon_blockade.analytic import optimal_conditions, theta_optimal_exact
 from magnon_blockade.model import ModelParams
 from magnon_blockade.sweep import (
     BracketError,
@@ -189,6 +189,10 @@ class TestVerifyScaling:
             ({"n_list": (1, -1)}, "n_modes must be at least 1"),
             ({"r": -0.5}, "r must be positive"),
             ({"coupling": 0.0}, "coupling must be positive"),
+            ({"r": math.nan}, "r must be finite, got nan"),
+            ({"r": math.inf}, "r must be finite, got inf"),
+            ({"coupling": math.nan}, "coupling must be finite, got nan"),
+            ({"coupling": math.inf}, "coupling must be finite, got inf"),
         ],
     )
     def test_bad_input_raises_before_any_search(self, kwargs, message, monkeypatch):
@@ -198,6 +202,21 @@ class TestVerifyScaling:
         monkeypatch.setattr(sweep, "find_minimum", no_search)
         with pytest.raises(ValueError, match=message):
             verify_scaling(**kwargs)
+
+    def test_generator_cap_fails_entry_without_search(self, monkeypatch):
+        calls = []
+
+        def counting_search(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("search past the generator cap")
+
+        monkeypatch.setattr(sweep, "find_minimum", counting_search)
+        (entry,) = verify_scaling(n_list=(6,)).entries
+        assert calls == []
+        assert entry.error == (
+            "ValueError: N = 6 has Hilbert dimension 1458 at Fock cutoff 2, above the "
+            "generator cap 500; verify_scaling runs at Fock cutoff 2, so it reaches N <= 5"
+        )
 
 
 class TestPresets:
@@ -240,3 +259,15 @@ class TestPresets:
             assert spec.base.probe_rabi == pytest.approx(
                 3 * math.sqrt(2) * spec.base.drive_rabi
             )
+
+    def test_presets_start_from_optimal_conditions(self):
+        for name, n in (("fig2", 1), ("fig3", 1), ("fig5", 2), ("fig6", 2), ("fig7", 2)):
+            for _, spec in preset_sweeps(name):
+                base = spec.base
+                cond = optimal_conditions(n, base.decay / base.coupling)
+                assert base.n_modes == n
+                assert base.delta / base.coupling == pytest.approx(cond.delta_over_j)
+                assert base.probe_rabi / base.drive_rabi == pytest.approx(cond.probe_over_drive)
+                if name in ("fig3", "fig7"):
+                    assert base.phase == theta_optimal_exact(n, base.decay / base.coupling)
+                    assert spec.probe_tracks_drive == pytest.approx(3 * math.sqrt(n))
