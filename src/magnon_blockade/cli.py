@@ -7,15 +7,17 @@ SWEEP_KEYS is also the flag `--` + key with `_` turned into `-`.  All rates
 are in units of gamma (gamma / 2 pi = 1 MHz), angles in radians.
 
 Exit codes: 0 success, 1 configuration error (any ValueError the library
-raises for the given input, a bad grid_scale, or an OSError such as a
-missing config file or an unusable output path), 2 when any sweep row or
-scaling entry failed or a single-point solve did not converge or had no
-unique steady state.
+raises for the given input, an analytic `optimize` at a resonance or an
+undriven point, a bad grid_scale, or an OSError such as a missing config
+file or an unusable output path, which is opened before the first point),
+2 when any sweep row or scaling entry failed or a single-point solve did
+not converge or had no unique steady state.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -148,12 +150,8 @@ def write_csv(records: list[SweepRecord], stream):
         writer.writerow([_format(getattr(rec, column)) for column in CSV_HEADER])
 
 
-def _emit_records(records, output: str | None) -> int:
-    if output:
-        with open(output, "w") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, sys.stdout)
+def _emit_records(records, stream) -> int:
+    write_csv(records, stream)
     failed = [r for r in records if r.error is not None]
     for rec in failed:
         print(f"row {_format(rec.axis_value)}: {rec.error}", file=sys.stderr)
@@ -204,18 +202,19 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = run_sweep(spec, workers=args.workers)
-    return _emit_records(records, args.output)
+    # Open the output before the first point, so an unusable path costs no solve.
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        return _emit_records(run_sweep(spec), out)
 
 
 def cmd_optimize(args) -> int:
     base, _ = _collect_params(args)
-    argmin, minimum = find_minimum(
-        base,
-        args.axis,
-        (args.bracket_lo, args.bracket_hi),
-        engine=args.engine,
-    )
+    try:
+        argmin, minimum = find_minimum(
+            base, args.axis, (args.bracket_lo, args.bracket_hi), engine=args.engine
+        )
+    except ZeroDivisionError as exc:  # analytic resonance or undriven point
+        raise ConfigError(str(exc)) from exc
     print(f"argmin = {argmin:.8g}")
     print(f"min_g2 = {minimum:.6e}")
     print(f"log10_min_g2 = {math.log10(minimum):.4f}" if minimum > 0 else "log10_min_g2 = -inf")
@@ -249,9 +248,10 @@ def cmd_preset(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     status = 0
     for label, spec in preset_sweeps(args.name):
-        records = run_sweep(spec, workers=args.workers)
         path = out_dir / f"{args.name}_{label}.csv"
-        status = max(status, _emit_records(records, path))
+        with open(path, "w") as out:
+            records = run_sweep(spec)
+            status = max(status, _emit_records(records, out))
         print(f"{path} ({len(records)} rows, {sum(r.error is not None for r in records)} failed)")
     return status
 
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_key_flags(sweep, SWEEP_KEYS)
     sweep.add_argument("--probe-tracks-drive", type=float, dest="probe_tracks_drive",
                        help="on drive sweeps, keep probe at this multiple of drive")
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--output", help="CSV path (default: stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     preset = sub.add_parser("preset", help="pinned figure-reproduction sweeps")
     preset.add_argument("name", choices=[f"fig{i}" for i in range(2, 8)])
     preset.add_argument("--output-dir", default=".", dest="output_dir")
-    preset.add_argument("--workers", type=int, default=1)
     preset.set_defaults(func=cmd_preset)
 
     return parser

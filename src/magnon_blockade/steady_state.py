@@ -101,8 +101,8 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     spec = p.hilbert_spec()
     if spec.dim > MAX_HILBERT_DIM:
         raise ValueError(
-            f"Hilbert dimension {spec.dim} exceeds the generator cap "
-            f"{MAX_HILBERT_DIM}; reduce the Fock cutoff or mode count"
+            f"Hilbert dimension {spec.dim} of N = {spec.n_modes} modes at Fock cutoff "
+            f"{spec.fock_cutoff} exceeds the generator cap {MAX_HILBERT_DIM}"
         )
     indptr, indices, values = generator_parts(spec)
     weights = np.array([*hamiltonian_coefficients(p), p.decay])

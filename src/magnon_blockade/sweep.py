@@ -1,14 +1,14 @@
 """Parameter sweeps, optimum search, and scaling verification.
 
-Grid points are independent; run_sweep can fan them out to a process pool
-and always collects results in grid order, so serial and parallel runs
-produce identical records.
+A sweep evaluates its grid points one after another in one process; the
+LU factorization of each point's solve already uses every BLAS thread.
+Printed values can differ in their 11th or 12th significant digit between
+BLAS thread counts.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,9 +16,7 @@ import numpy as np
 from .analytic import amplitudes_for, g2_analytic, optimal_conditions
 from .model import ModelParams
 from .observables import blockade_metrics, classify_statistics, g2_zero_delay
-from .steady_state import (
-    MAX_HILBERT_DIM, build_liouvillian, converge_truncation, solve_steady_state,
-)
+from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
 
 AXES = ("delta_over_j", "probe_over_drive", "theta", "drive_rabi", "kappa")
 ENGINES = ("numeric", "analytic")
@@ -148,17 +146,9 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
     )
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
-    """Evaluate every grid point; one record per point, in grid order.
-
-    The pool gets at most one worker per grid point: with the fork start
-    method every requested worker is forked up front, busy or not.
-    """
-    workers = min(workers, len(spec.grid))
-    if workers <= 1:
-        return [_evaluate_point(spec, v) for v in spec.grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, [spec] * len(spec.grid), spec.grid))
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
+    """Evaluate every grid point in turn, in this process; one record per point, in grid order."""
+    return [_evaluate_point(spec, v) for v in spec.grid]
 
 
 class BracketError(ValueError):
@@ -241,9 +231,9 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
     the probe in 2..4 sqrt(N) drives and the phase in 0.3..2 times its start.
     The three optimized ratios are then regressed against N on log-log axes;
     expected exponents: +1/2, +1/2, -1/2.  Bad N, r or coupling raise
-    ValueError before any solve.  A failed search is recorded in its entry,
-    and so is an N whose cutoff-2 space exceeds MAX_HILBERT_DIM, without a
-    search: cutoff 2 reaches N <= 5.
+    ValueError before any solve.  A failed search is recorded in its entry.
+    Cutoff 2 reaches N <= 5: at N >= 6 build_liouvillian rejects the space
+    before any solve, and the entry names its dimension D and the cap.
     """
     if not math.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")
@@ -270,13 +260,6 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
             ("theta", (0.3 * theta0, 2.0 * theta0)),
         )
         try:
-            dim = p.hilbert_spec().dim
-            if dim > MAX_HILBERT_DIM:
-                raise ValueError(
-                    f"N = {n} has Hilbert dimension {dim} at Fock cutoff 2, above the "
-                    f"generator cap {MAX_HILBERT_DIM}; verify_scaling runs at Fock "
-                    "cutoff 2, so it reaches N <= 5"
-                )
             for _ in range(2):
                 for axis, bracket in searches:
                     value, best = find_minimum(p, axis, bracket, n_scan=9, rel_tol=1e-4)

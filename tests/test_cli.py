@@ -220,9 +220,12 @@ class TestSweepCommand:
             "configuration error: grid_scale must be lin or log, got 'cubic'\n"
         )
 
-    def test_output_directory_exit_1(self, tmp_path, capsys):
+    def test_output_directory_exit_1(self, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr("magnon_blockade.cli.run_sweep", lambda *a, **k: sweeps.append(a))
         assert main(self.sweep_args(str(tmp_path))) == 1
         assert "configuration error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert sweeps == []
 
 
 class TestOptimizeCommand:
@@ -251,6 +254,25 @@ class TestOptimizeCommand:
         ]
         assert main(args) == 1
         assert "configuration error: no interior minimum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--probe-rabi", "0", "--drive-rabi", "0"], "vanishing single-excitation amplitude"),
+            (["--decay", "1e-300"], "singular denominator at the single-excitation resonance"),
+        ],
+        ids=["undriven", "resonance"],
+    )
+    def test_analytic_zero_division_exit_1(self, flags, message, capsys):
+        args = [
+            "optimize", *BASE_FLAGS, *flags,
+            "--axis", "theta",
+            "--bracket-lo", "0.001",
+            "--bracket-hi", "0.02",
+            "--engine", "analytic",
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_zero_minimum_reported(self, capsys, monkeypatch):
         # g2_zero_delay clamps round-off moments to 0, so a minimum of
@@ -297,8 +319,10 @@ class TestVerifyScalingCommand:
         assert main(["verify-scaling", "--n-list", "1,6"]) == 2
         out = capsys.readouterr().out
         assert "N=1: delta/J" in out
-        assert "N=6: FAILED (ValueError: N = 6 has Hilbert dimension 1458" in out
-        assert "verify_scaling runs at Fock cutoff 2, so it reaches N <= 5)" in out
+        assert (
+            "N=6: FAILED (ValueError: Hilbert dimension 1458 of N = 6 modes at Fock cutoff 2 "
+            "exceeds the generator cap 500)"
+        ) in out
 
 
 class TestPresetCommand:
@@ -342,17 +366,21 @@ class TestPresetCommand:
 
 class TestImportSurface:
     def test_package_import_skips_time_integration(self):
-        # scipy.integrate serves only the time-evolution oracle of the tests;
+        # scipy.integrate serves only the time-evolution oracle of the tests,
+        # and sweeps run in one process, so no process pool is loaded either;
         # a fresh interpreter shows what importing the package pulls in.
         src = str(Path(magnon_blockade.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        code = "import sys, magnon_blockade; print('scipy.integrate' in sys.modules)"
+        code = (
+            "import sys, magnon_blockade; print([name for name in ('scipy.integrate', "
+            "'multiprocessing', 'concurrent.futures.process') if name in sys.modules])"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
     def test_every_exported_name_resolves(self):
         missing = [name for name in magnon_blockade.__all__ if not hasattr(magnon_blockade, name)]

@@ -85,36 +85,6 @@ class TestRunSweep:
         assert all(r.g2_numeric is None for r in records)
         assert all(r.g2_analytic > 0 for r in records)
 
-    def test_serial_and_parallel_agree(self):
-        grid = tuple(np.linspace(0.0, 0.01, 8))
-        spec = SweepSpec(fig2_params(), "theta", grid, engines=("analytic",))
-        assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
-
-    def test_pool_capped_at_grid_length(self, monkeypatch):
-        # Stands in for the process pool: records its size, maps serially.
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-        spec = SweepSpec(fig2_params(), "theta", (0.0, 0.005, 0.01), engines=("analytic",))
-        assert run_sweep(spec, workers=64) == run_sweep(spec)
-        assert sizes == [3]
-        one_point = SweepSpec(fig2_params(), "theta", (0.005,), engines=("analytic",))
-        run_sweep(one_point, workers=64)
-        assert sizes == [3]
-
     def test_repeat_runs_identical(self):
         grid = (0.0, 0.005, 0.01)
         spec = SweepSpec(fig2_params(), "theta", grid)
@@ -203,19 +173,19 @@ class TestVerifyScaling:
         with pytest.raises(ValueError, match=message):
             verify_scaling(**kwargs)
 
-    def test_generator_cap_fails_entry_without_search(self, monkeypatch):
-        calls = []
+    def test_generator_cap_fails_entry_without_solve(self, monkeypatch):
+        solves = []
 
-        def counting_search(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("search past the generator cap")
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            raise AssertionError("solve past the generator cap")
 
-        monkeypatch.setattr(sweep, "find_minimum", counting_search)
+        monkeypatch.setattr(sweep, "solve_steady_state", counting_solve)
         (entry,) = verify_scaling(n_list=(6,)).entries
-        assert calls == []
+        assert solves == []
         assert entry.error == (
-            "ValueError: N = 6 has Hilbert dimension 1458 at Fock cutoff 2, above the "
-            "generator cap 500; verify_scaling runs at Fock cutoff 2, so it reaches N <= 5"
+            "ValueError: Hilbert dimension 1458 of N = 6 modes at Fock cutoff 2 "
+            "exceeds the generator cap 500"
         )
 
 
