@@ -121,38 +121,42 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     )
 
 
-def g2_analytic(amps: AmplitudeSet) -> tuple[float, float]:
-    """(exact, leading-order) correlation from the amplitude set.
-
-    Exact keeps the full two-excitation normalization in the denominator;
-    the leading form is 2 |c_g11|^2 / |c_g1|^4.
-    """
+def g2_analytic(amps: AmplitudeSet) -> float:
+    """Correlation from the amplitude set, with the full two-excitation
+    normalization in the denominator."""
     p_g1 = amps.p_g1
     if p_g1 == 0:
         raise ZeroDivisionError("vanishing single-excitation amplitude")
     numerator = 2 * amps.p_g11
-    exact = numerator / (p_g1 + amps.p_e1 + amps.p_g12 + numerator) ** 2
-    approx = numerator / p_g1**2
-    return exact, approx
+    return numerator / (p_g1 + amps.p_e1 + amps.p_g12 + numerator) ** 2
 
 
 @dataclass(frozen=True)
 class OptimalConditions:
-    """Blockade-optimizing parameter ratios for N modes at a given r = kappa/J."""
+    """Blockade-optimizing parameter ratios for N modes at a given r = kappa/J.
+
+    N modes sharing J, Omega_m, Delta and kappa act as one bright mode with
+    J and Omega_m times sqrt(N), so r becomes r / sqrt(N): Delta = sqrt(N) J,
+    Omega_q = 3 sqrt(N) Omega_m and theta_exact = theta_1(r / sqrt(N)),
+    theta_1(s) = s (8 + s^2) / (12 (1 + s^2)), a stationary phase of the
+    one-mode ansatz, not the argmin of g2 (0.179497 against 0.187187 at
+    r = 0.5, N = 3); theta_general = 2 r / (3 sqrt(N)) is their small-r limit.
+    The N >= 3 analytic engine drops the cross amplitude: its g2 reads 0.25
+    to 0.44 decades low, at the same argmin.  A mode's Fock populations are
+    the bright mode's thinned with eta = 1 / N, so P1 halves from N = 1 to 2.
+    """
 
     delta_over_j: float
     probe_over_drive: float
     theta_general: float
-    theta_exact: float | None
+    theta_exact: float
 
 
-def theta_optimal_exact(n_modes: int, r: float) -> float | None:
-    """Stationary-phase formula; available for one and two modes only."""
-    if n_modes == 1:
-        return r * (8 + r**2) / (12 * (1 + r**2))
-    if n_modes == 2:
-        return r * (16 + r**2) / (12 * math.sqrt(2) * (2 + r**2))
-    return None
+def theta_optimal_exact(n_modes: int, r: float) -> float:
+    """theta*(N, r) = theta_1(r / sqrt(N)): a stationary phase, not the argmin
+    of g2; see :class:`OptimalConditions`.  Raises ValueError for N < 1 and
+    for r that is not finite and positive."""
+    return optimal_conditions(n_modes, r).theta_exact
 
 
 def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
@@ -163,9 +167,10 @@ def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
     if r <= 0:
         raise ValueError("r must be positive")
     root_n = math.sqrt(n_modes)
+    s = r / root_n
     return OptimalConditions(
         delta_over_j=root_n,
         probe_over_drive=3 * root_n,
         theta_general=2 * r / (3 * root_n),
-        theta_exact=theta_optimal_exact(n_modes, r),
+        theta_exact=s * (8 + s**2) / (12 * (1 + s**2)),
     )

@@ -108,8 +108,7 @@ def numeric_g2(p: ModelParams) -> float:
 
 
 def analytic_g2(p: ModelParams) -> float:
-    exact, _ = g2_analytic(amplitudes_for(p))
-    return exact
+    return g2_analytic(amplitudes_for(p))
 
 
 def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
@@ -121,7 +120,7 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
     try:
         if "analytic" in spec.engines:
             amps = amplitudes_for(p)
-            g2_an, _ = g2_analytic(amps)
+            g2_an = g2_analytic(amps)
             p1 = amps.p_g1
         if "numeric" in spec.engines:
             metrics = blockade_metrics(converge_truncation(p))
@@ -155,8 +154,14 @@ class BracketError(ValueError):
     pass
 
 
+def _check_rel_tol(rel_tol: float):
+    if not 0 < rel_tol < math.inf:  # also rejects nan
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+
+
 def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-5) -> tuple[float, float]:
     """Minimize a unimodal function on [lo, hi] to a relative axis tolerance."""
+    _check_rel_tol(rel_tol)
     scale = max(abs(lo), abs(hi), 1e-12)
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
@@ -185,10 +190,14 @@ def find_minimum(
 
     A coarse scan finds an interior bracketing triple, which golden-section
     search then refines.  Raises BracketError when no interior minimum
-    exists in the bracket.
+    exists in the bracket, and ValueError before any evaluation for an
+    unknown engine, n_scan < 3 or a rel_tol that is not finite and positive.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    if n_scan < 3:
+        raise ValueError(f"n_scan must be at least 3 to bracket a minimum, got {n_scan}")
+    _check_rel_tol(rel_tol)
     evaluator = numeric_g2 if engine == "numeric" else analytic_g2
 
     def f(v: float) -> float:
@@ -230,8 +239,8 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
     optimal_conditions(N, r) and bracket the detuning in 0.7..1.3 sqrt(N) J,
     the probe in 2..4 sqrt(N) drives and the phase in 0.3..2 times its start.
     The three optimized ratios are then regressed against N on log-log axes;
-    expected exponents: +1/2, +1/2, -1/2.  Bad N, r or coupling raise
-    ValueError before any solve.  A failed search is recorded in its entry.
+    expected exponents: +1/2, +1/2, -1/2.  Bad or repeated N, r or coupling
+    raise ValueError before any solve.  A failed search is recorded in its entry.
     Cutoff 2 reaches N <= 5: at N >= 6 build_liouvillian rejects the space
     before any solve, and the entry names its dimension D and the cap.
     """
@@ -241,6 +250,9 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
         raise ValueError("coupling must be positive")
     kappa, drive = r * coupling, 0.001
     starts = [(n, optimal_conditions(n, r)) for n in n_list]
+    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
+    if repeated:
+        raise ValueError(f"n_list repeats N = {', '.join(map(str, repeated))}")
     entries = []
     for n, start in starts:
         root_n, theta0 = start.delta_over_j, start.theta_general

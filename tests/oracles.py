@@ -3,8 +3,9 @@
 None of these runs in a command or a sweep: density-matrix validity, the
 generator's trace preservation, time evolution as the check of the direct
 solve, the paper's closed-form probabilities as the check of the amplitude
-solve, the one-excitation spectrum, and a per-mode occupation for states
-that need not be mode-symmetric.
+solve, the one-excitation spectrum, a per-mode occupation for states
+that need not be mode-symmetric, and the bright-mode map that reduces N
+modes to one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import binom
 
 from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
 from magnon_blockade.model import ModelParams, build_effective_hamiltonian, hamiltonian_parts
@@ -225,3 +227,35 @@ def single_excitation_energies(p: ModelParams) -> np.ndarray:
     one = np.isclose(np.diag(hamiltonian_parts(q.hilbert_spec())[0]).real, 1.0)
     block = h[np.ix_(one, one)]
     return np.linalg.eigvalsh(block)
+
+
+def bright_mode(p: ModelParams, cutoff: int) -> ModelParams:
+    """The one-mode model that carries all of p's coupling and drive.
+
+    The modes share J, Omega_m, Delta and kappa, so only the bright mode
+    b = sum_j m_j / sqrt(N) couples to the qubit and the drive; the N - 1
+    dark modes stay in vacuum, since the dissipator is unchanged by the mode
+    rotation.  The N-mode model is the one-mode model with J -> sqrt(N) J and
+    Omega_m -> sqrt(N) Omega_m.  Each mode then has b's g2, the occupation
+    <b^dag b> / N and b's Fock populations thinned with eta = 1 / N.  cutoff
+    counts bright-mode quanta: a per-mode cutoff c holds up to N c of them.
+    """
+    root_n = math.sqrt(p.n_modes)
+    return p.with_(
+        n_modes=1,
+        coupling=root_n * p.coupling,
+        drive_rabi=root_n * p.drive_rabi,
+        fock_cutoff=cutoff,
+    )
+
+
+def thinned(populations: np.ndarray, eta: float) -> np.ndarray:
+    """Fock populations after each quantum is kept with probability eta.
+
+    P'_k = sum_n C(n, k) eta^k (1 - eta)^(n - k) P_n: the state of one port
+    of a beam splitter of transmission eta with vacuum at the other.
+    """
+    n = np.arange(populations.size)
+    k = n[:, None]
+    keep = binom(n, k) * eta**k * (1 - eta) ** np.maximum(n - k, 0)
+    return keep @ populations

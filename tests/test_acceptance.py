@@ -335,7 +335,7 @@ def test_criterion_9_property_suite():
     def log_gap(p):
         rho = solve_steady_state(build_liouvillian(p))
         numeric = g2_zero_delay(rho)
-        analytic, _ = g2_analytic(amplitudes_for(p))
+        analytic = g2_analytic(amplitudes_for(p))
         return abs(math.log10(numeric) - math.log10(analytic))
 
     # theta / pi on multiples of 5e-4, the published sampling resolution;

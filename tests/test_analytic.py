@@ -133,9 +133,9 @@ class TestG2Ratio:
     def test_weak_drive_exact_approx_agree(self):
         p = optimal_params(1, 35.0, 0.5, 0.0001, theta=0.0)
         amps = amplitudes_for(p)
-        exact, approx = g2_analytic(amps)
+        leading = 2 * amps.p_g11 / amps.p_g1**2
         assert amps.weak_drive_certified
-        assert exact == pytest.approx(approx, rel=1e-3)
+        assert g2_analytic(amps) == pytest.approx(leading, rel=1e-3)
 
     def test_vanishing_single_excitation_rejected(self):
         p = ModelParams(1, 5.0, 5.0, 1.0, 0.0, 0.0, 0.5)
@@ -195,8 +195,18 @@ class TestOptimalConditions:
             0.011781892, abs=1e-8
         )
 
-    def test_exact_phase_unavailable_beyond_two_modes(self):
-        assert theta_optimal_exact(3, 0.01) is None
+    def test_exact_phase_follows_bright_mode_map(self):
+        # N modes act as one bright mode with r scaled by 1 / sqrt(N).
+        for n in (2, 3, 5):
+            for r in (0.01, 0.025, 0.3, 0.5, 1.0):
+                assert theta_optimal_exact(n, r) == theta_optimal_exact(1, r / math.sqrt(n))
+
+    def test_exact_phase_matches_one_and_two_mode_closed_forms(self):
+        for r in (1 / 70, 0.025, 0.3, 0.5, 1.0):
+            one = r * (8 + r**2) / (12 * (1 + r**2))
+            two = r * (16 + r**2) / (12 * math.sqrt(2) * (2 + r**2))
+            assert theta_optimal_exact(1, r) == one
+            assert abs(theta_optimal_exact(2, r) - two) <= math.ulp(two)
 
     def test_small_decay_limit(self):
         for n, scale in ((1, 2 / 3), (2, 2 / (3 * math.sqrt(2)))):
@@ -216,7 +226,7 @@ class TestOptimalConditions:
                     amplitudes_for(
                         optimal_params(n, coupling, decay, 0.001, theta=t)
                     )
-                )[0]
+                )
                 for t in thetas
             ]
             argmin = thetas[int(np.argmin(values))]
@@ -252,7 +262,13 @@ class TestOptimalConditions:
         assert cond.theta_exact == pytest.approx(theta_optimal_exact(2, 0.025))
 
     def test_conditions_validation(self):
-        with pytest.raises(ValueError):
-            optimal_conditions(0, 0.1)
-        with pytest.raises(ValueError):
-            optimal_conditions(1, 0.0)
+        for n, r, message in (
+            (0, 0.1, "n_modes must be at least 1"),
+            (1, 0.0, "r must be positive"),
+            (3, -0.5, "r must be positive"),
+            (3, math.nan, "r must be finite, got nan"),
+            (3, math.inf, "r must be finite, got inf"),
+        ):
+            for func in (optimal_conditions, theta_optimal_exact):
+                with pytest.raises(ValueError, match=message):
+                    func(n, r)

@@ -314,6 +314,16 @@ class TestVerifyScalingCommand:
         assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
 
+    def test_repeated_mode_count_exit_1(self, capsys, monkeypatch):
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("verify-scaling searched a repeated mode count")
+
+        monkeypatch.setattr("magnon_blockade.sweep.find_minimum", no_search)
+        assert main(["verify-scaling", "--n-list", "2,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: n_list repeats N = 2\n"
+        assert captured.out == ""
+
     def test_failed_entry_exit_2(self, capsys):
         # N = 6 at the default cutoff exceeds the generator cap.
         assert main(["verify-scaling", "--n-list", "1,6"]) == 2

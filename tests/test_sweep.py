@@ -139,6 +139,34 @@ class TestMinimumSearch:
         with pytest.raises(ValueError, match="engine"):
             find_minimum(fig2_params(), "theta", (0.0, 0.02), engine="magic")
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-5, math.nan, math.inf])
+    def test_bad_rel_tol_rejected_before_any_evaluation(self, rel_tol, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            raise AssertionError(f"evaluated at {x} before checking rel_tol")
+
+        with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
+            golden_section(counting, 0.0, 1.0, rel_tol=rel_tol)
+        monkeypatch.setattr(sweep, "analytic_g2", lambda p: counting(p.phase))
+        with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
+            find_minimum(fig2_params(), "theta", (0.0, 1.0), engine="analytic", rel_tol=rel_tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_scan", [-1, 0, 1, 2])
+    def test_short_scan_rejected_before_any_evaluation(self, n_scan, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            raise AssertionError(f"evaluated at {p.phase} before checking n_scan")
+
+        monkeypatch.setattr(sweep, "analytic_g2", counting)
+        with pytest.raises(ValueError, match="n_scan must be at least 3"):
+            find_minimum(fig2_params(), "theta", (0.0, 1.0), engine="analytic", n_scan=n_scan)
+        assert calls == []
+
 
 class TestVerifyScaling:
     def test_single_mode_entry(self):
@@ -163,6 +191,8 @@ class TestVerifyScaling:
             ({"r": math.inf}, "r must be finite, got inf"),
             ({"coupling": math.nan}, "coupling must be finite, got nan"),
             ({"coupling": math.inf}, "coupling must be finite, got inf"),
+            ({"n_list": (2, 2)}, "n_list repeats N = 2"),
+            ({"n_list": (1, 3, 2, 3, 1)}, "n_list repeats N = 1, 3"),
         ],
     )
     def test_bad_input_raises_before_any_search(self, kwargs, message, monkeypatch):
