@@ -14,25 +14,14 @@ from .analytic import (
     optimal_conditions,
     theta_optimal_exact,
 )
-from .model import (
-    ModelParams,
-    build_dissipators,
-    build_effective_hamiltonian,
-)
+from .model import ModelParams, build_dissipators
 from .observables import (
     BlockadeMetrics,
     blockade_metrics,
     classify_statistics,
     g2_zero_delay,
 )
-from .operators import (
-    DensityMatrix,
-    HilbertSpec,
-    embed,
-    fock_annihilation,
-    partial_trace,
-    qubit_lowering,
-)
+from .operators import DensityMatrix, HilbertSpec
 from .steady_state import (
     Liouvillian,
     build_liouvillian,
@@ -61,19 +50,14 @@ __all__ = [
     "amplitudes_for",
     "blockade_metrics",
     "build_dissipators",
-    "build_effective_hamiltonian",
     "build_liouvillian",
     "classify_statistics",
     "converge_truncation",
-    "embed",
     "find_minimum",
-    "fock_annihilation",
     "g2_analytic",
     "g2_zero_delay",
     "optimal_conditions",
-    "partial_trace",
     "preset_sweeps",
-    "qubit_lowering",
     "run_sweep",
     "solve_steady_state",
     "theta_optimal_exact",

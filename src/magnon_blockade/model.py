@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import HilbertSpec, mode_annihilation, qubit_sigma_minus
+from .operators import HilbertSpec, ladder_operators
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,10 @@ def hamiltonian_parts(spec: HilbertSpec) -> list[np.ndarray]:
     :func:`hamiltonian_coefficients`: the total excitation number,
     sum_j (m_j sigma_+ + m_j^dag sigma_-), sigma_+ + sigma_-,
     -i sigma_+ + i sigma_- and sum_j (m_j + m_j^dag)."""
-    sm = qubit_sigma_minus(spec)
+    sm, modes = ladder_operators(spec)
     sp = sm.conj().T
     number, exchange, mode_drive = sp @ sm, np.zeros_like(sm), np.zeros_like(sm)
-    for j in range(1, spec.n_modes + 1):
-        m = mode_annihilation(j, spec)
+    for m in modes:
         number = number + m.conj().T @ m
         exchange = exchange + (m @ sp + m.conj().T @ sm)
         mode_drive = mode_drive + (m.conj().T + m)
@@ -77,14 +76,7 @@ def hamiltonian_coefficients(p: ModelParams) -> tuple[float, ...]:
     return (p.delta, p.coupling, q * math.cos(p.phase), q * math.sin(p.phase), p.drive_rabi)
 
 
-def build_effective_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the driven qubit + N-mode system."""
-    parts = hamiltonian_parts(p.hilbert_spec())
-    return sum(c * h for c, h in zip(hamiltonian_coefficients(p), parts))
-
-
 def build_dissipators(spec: HilbertSpec) -> list[np.ndarray]:
     """Collapse operators [sigma_minus, m_1, ..., m_N]; each decays at rate kappa."""
-    return [qubit_sigma_minus(spec)] + [
-        mode_annihilation(j, spec) for j in range(1, spec.n_modes + 1)
-    ]
+    sm, modes = ladder_operators(spec)
+    return [sm] + modes

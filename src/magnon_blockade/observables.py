@@ -1,7 +1,8 @@
 """Blockade metrics evaluated on a steady-state density matrix.
 
 The solve is mode-symmetric by construction, so mode 1 stands for every
-mode: g2 and P1 are the paper's values "for each magnon".
+mode: g2 and P1 are the paper's values "for each magnon".  All of them
+come from mode 1's Fock populations, read off the diagonal of the state.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix, partial_trace
+from .operators import DensityMatrix
 
 #: Smallest mode occupation for which the correlation ratio is formed.
 OCCUPATION_FLOOR = 1e-14
@@ -35,12 +36,13 @@ class UndefinedCorrelationError(ValueError):
 def _fock_moments(rho: DensityMatrix) -> tuple[float, float, float]:
     """Occupation <n>, pair moment <n (n - 1)> and P1 of mode 1.
 
-    All three come from the diagonal of the mode's reduced state, the Fock
-    populations P_n.
+    All three come from the mode's Fock populations P_n: the diagonal of rho,
+    reshaped to one axis per subsystem and summed over every axis but mode 1's.
     """
     if rho.spec.fock_cutoff < 1:
         raise ValueError("no excitation sector: fock cutoff must be at least 1")
-    populations = np.real(np.diagonal(partial_trace(rho, 1)))
+    diagonal = np.real(np.diagonal(rho.matrix)).reshape(rho.spec.dims)
+    populations = diagonal.sum(axis=(0, *range(2, diagonal.ndim)))
     n = np.arange(populations.size)
     return (
         float(n @ populations),

@@ -26,7 +26,8 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis over a base parameter set."""
+    """One sweep axis over a base parameter set.  Construction builds every
+    grid point's parameters, so a point out of range fails before any solve."""
 
     base: ModelParams
     axis: str
@@ -51,6 +52,13 @@ class SweepSpec:
                 f"probe_tracks_drive applies to the drive_rabi axis, not {self.axis!r}"
             )
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        tracks = self.probe_tracks_drive
+        for v in self.grid:
+            try:
+                apply_axis(self.base, self.axis, v, tracks)
+            except ValueError as exc:
+                with_tracks = "" if tracks is None else f" with probe_tracks_drive = {tracks}"
+                raise ValueError(f"grid point {self.axis} = {v}{with_tracks}: {exc}") from exc
 
 
 @dataclass(frozen=True)

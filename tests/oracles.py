@@ -3,8 +3,9 @@
 None of these runs in a command or a sweep: density-matrix validity, the
 generator's trace preservation, time evolution as the check of the direct
 solve, the paper's closed-form probabilities as the check of the amplitude
-solve, the one-excitation spectrum, a per-mode occupation for states
-that need not be mode-symmetric, and the bright-mode map that reduces N
+solve, the one-excitation spectrum, the reduced state of one subsystem and
+a per-mode occupation for states that need not be mode-symmetric, the
+dense Hamiltonian of one point, and the bright-mode map that reduces N
 modes to one.
 """
 
@@ -18,8 +19,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import binom
 
 from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
-from magnon_blockade.model import ModelParams, build_effective_hamiltonian, hamiltonian_parts
-from magnon_blockade.operators import DensityMatrix, partial_trace
+from magnon_blockade.model import ModelParams, hamiltonian_coefficients, hamiltonian_parts
+from magnon_blockade.operators import DensityMatrix
 from magnon_blockade.steady_state import (
     Liouvillian,
     SteadyStateError,
@@ -45,6 +46,27 @@ def validate(rho: DensityMatrix) -> DensityMatrix:
     if w.min() < -POSITIVITY_TOL:
         raise ValueError(f"density matrix not positive: min eigenvalue {w.min():.3e}")
     return rho
+
+
+def partial_trace(rho: DensityMatrix, keep: int) -> np.ndarray:
+    """Reduced density matrix of one subsystem (0 = qubit, 1..N = modes)."""
+    dims = rho.spec.dims
+    if not 0 <= keep < len(dims):
+        raise ValueError(f"subsystem {keep} out of range for {rho.spec.n_modes} modes")
+    n_sub = len(dims)
+    tensor = rho.matrix.reshape(dims + dims)
+    # Contract the row/column indices of every traced subsystem.
+    row = list(range(n_sub))
+    col = [k if k != keep else n_sub for k in range(n_sub)]
+    reduced = np.einsum(tensor, row + col, [keep, n_sub])
+    return np.ascontiguousarray(reduced)
+
+
+def build_effective_hamiltonian(p: ModelParams) -> np.ndarray:
+    """Rotating-frame Hamiltonian of the driven qubit + N-mode system, as one
+    dense matrix: the parts of `hamiltonian_parts` at p's weights."""
+    parts = hamiltonian_parts(p.hilbert_spec())
+    return sum(c * h for c, h in zip(hamiltonian_coefficients(p), parts))
 
 
 def mode_occupation(rho: DensityMatrix, mode: int) -> float:

@@ -21,10 +21,9 @@ from magnon_blockade.observables import (
     UndefinedCorrelationError,
     g2_zero_delay,
 )
-from magnon_blockade.operators import partial_trace
 from magnon_blockade.steady_state import build_liouvillian, solve_steady_state
 from magnon_blockade.sweep import find_minimum
-from oracles import bright_mode, thinned
+from oracles import bright_mode, partial_trace, thinned
 
 
 def fock_populations(rho) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import magnon_blockade
-from magnon_blockade import steady_state
+from magnon_blockade import steady_state, sweep
 from magnon_blockade.cli import (
     CSV_HEADER,
     ConfigError,
@@ -227,6 +227,45 @@ class TestSweepCommand:
         assert "configuration error: [Errno 21] Is a directory" in capsys.readouterr().err
         assert sweeps == []
 
+    def test_grid_out_of_range_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # kappa = 1, 0, -1: the second point has no steady state, so the
+        # sweep must stop before it solves the first.
+        solves = []
+        real = sweep.converge_truncation
+        monkeypatch.setattr(sweep, "converge_truncation", lambda p: solves.append(p) or real(p))
+        out = tmp_path / "k.csv"
+        args = [
+            "sweep", *BASE_FLAGS,
+            "--axis", "kappa",
+            "--grid-start", "1",
+            "--grid-stop", "-1",
+            "--grid-points", "3",
+            "--output", str(out),
+        ]
+        assert main(args) == 1
+        assert solves == []
+        assert not out.exists()
+        assert "configuration error: grid point kappa = 0.0: decay must be positive" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("tracks", ["-1", "nan"])
+    def test_bad_probe_tracking_names_flag_exit_1(self, tracks, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(sweep, "converge_truncation", lambda p: solves.append(p))
+        args = [
+            "sweep", *BASE_FLAGS,
+            "--axis", "drive_rabi",
+            "--grid-start", "0.001",
+            "--grid-stop", "0.002",
+            "--grid-points", "2",
+            "--probe-tracks-drive", tracks,
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"grid point drive_rabi = 0.001 with probe_tracks_drive = {float(tracks)}" in err
+        assert solves == []
+
 
 class TestOptimizeCommand:
     def test_phase_optimum(self, capsys):
@@ -395,3 +434,21 @@ class TestImportSurface:
     def test_every_exported_name_resolves(self):
         missing = [name for name in magnon_blockade.__all__ if not hasattr(magnon_blockade, name)]
         assert missing == []
+
+    def test_exported_names_are_exactly_the_public_surface(self):
+        # The N-site operator helpers and the dense Hamiltonian are test
+        # oracles (tests/oracles.py), not package API.
+        assert sorted(magnon_blockade.__all__) == [
+            "AmplitudeSet", "BlockadeMetrics", "DensityMatrix", "HilbertSpec",
+            "Liouvillian", "ModelParams", "OptimalConditions", "SweepRecord",
+            "SweepSpec", "amplitudes_for", "blockade_metrics", "build_dissipators",
+            "build_liouvillian", "classify_statistics", "converge_truncation",
+            "find_minimum", "g2_analytic", "g2_zero_delay", "optimal_conditions",
+            "preset_sweeps", "run_sweep", "solve_steady_state",
+            "theta_optimal_exact", "verify_scaling",
+        ]
+        assert all(callable(getattr(magnon_blockade, name)) for name in magnon_blockade.__all__)
+        for name in ("embed", "partial_trace", "fock_annihilation", "qubit_lowering",
+                     "mode_annihilation", "qubit_sigma_minus"):
+            assert not hasattr(magnon_blockade.operators, name)
+        assert not hasattr(magnon_blockade.model, "build_effective_hamiltonian")

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from magnon_blockade.model import ModelParams, build_dissipators, build_effective_hamiltonian
-from magnon_blockade.operators import HilbertSpec, mode_annihilation, qubit_sigma_minus
-from oracles import single_excitation_energies
+from magnon_blockade.model import ModelParams, build_dissipators
+from magnon_blockade.operators import HilbertSpec, ladder_operators
+from oracles import build_effective_hamiltonian, single_excitation_energies
 
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
@@ -74,14 +74,13 @@ class TestEffectiveHamiltonian:
     def test_matches_operator_formula(self):
         p = ModelParams(2, 3.0, 1.5, 0.2, 0.4, 0.7, 1.0, fock_cutoff=2)
         spec = p.hilbert_spec()
-        sm = qubit_sigma_minus(spec)
+        sm, modes = ladder_operators(spec)
         sp_ = sm.conj().T
         expected = p.delta * (sp_ @ sm)
         expected = expected + p.probe_rabi * (
             np.exp(-1j * p.phase) * sp_ + np.exp(1j * p.phase) * sm
         )
-        for j in (1, 2):
-            m = mode_annihilation(j, spec)
+        for m in modes:
             expected = expected + p.delta * (m.conj().T @ m)
             expected = expected + p.coupling * (m @ sp_ + m.conj().T @ sm)
             expected = expected + p.drive_rabi * (m.conj().T + m)
@@ -107,8 +106,10 @@ class TestDissipators:
         p = fig2_params(fock_cutoff=2)
         spec = p.hilbert_spec()
         channels = [(o, p.decay) for o in build_dissipators(spec)]
-        assert np.array_equal(channels[0][0], qubit_sigma_minus(spec))
-        assert np.array_equal(channels[1][0], mode_annihilation(1, spec))
+        # sigma_minus (x) I_3 and I_2 (x) a at cutoff 2.
+        a = np.diag(np.sqrt([1.0, 2.0]), k=1)
+        assert np.array_equal(channels[0][0], np.kron([[0, 1], [0, 0]], np.eye(3)))
+        assert np.array_equal(channels[1][0], np.kron(np.eye(2), a))
 
 
 class TestSingleExcitationEnergies:

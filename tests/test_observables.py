@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnon_blockade.observables import (
     ANTIBUNCHING,
@@ -13,12 +15,8 @@ from magnon_blockade.observables import (
     classify_statistics,
     g2_zero_delay,
 )
-from magnon_blockade.operators import (
-    DensityMatrix,
-    HilbertSpec,
-    fock_annihilation,
-    partial_trace,
-)
+from magnon_blockade.operators import DensityMatrix, HilbertSpec
+from oracles import partial_trace
 
 
 def mode_state(diag_mode, fock_cutoff, qubit_excited=0.0):
@@ -87,7 +85,7 @@ class TestOccupationAndG2:
         rho = x @ x.conj().T
         rho = DensityMatrix(rho / np.trace(rho), spec)
         reduced = partial_trace(rho, 1)
-        a = fock_annihilation(3)
+        a = np.diag(np.sqrt([1.0, 2.0, 3.0]), k=1)
         occ = np.real(np.trace(a.conj().T @ a @ reduced))
         pairs = np.real(np.trace(a.conj().T @ a.conj().T @ a @ a @ reduced))
         assert g2_zero_delay(rho) == pytest.approx(pairs / occ**2, rel=1e-12)
@@ -136,3 +134,28 @@ class TestBlockadeMetrics:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
             BlockadeMetrics(0.5, 1.5, 0.1, ANTIBUNCHING, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_modes=st.integers(1, 3),
+    cutoff=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_read_matches_reduced_state_of_mode_one(n_modes, cutoff, seed):
+    # A random state that is not mode-symmetric: the metrics must be mode 1's,
+    # as read from its reduced state, and not any other mode's.
+    spec = HilbertSpec(n_modes=n_modes, fock_cutoff=cutoff)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+    rho = DensityMatrix(x @ x.conj().T / np.linalg.norm(x) ** 2, spec)
+    populations = np.real(np.diagonal(partial_trace(rho, 1)))
+    n = np.arange(cutoff + 1)
+    occupation, pairs = n @ populations, n * (n - 1) @ populations
+    if n_modes > 1:
+        other = np.real(np.diagonal(partial_trace(rho, n_modes)))
+        assert not np.allclose(other, populations, rtol=1e-6, atol=0)
+    m = blockade_metrics(rho)
+    assert m.occupation == pytest.approx(occupation, rel=1e-13, abs=0)
+    assert m.g2_zero * m.occupation**2 == pytest.approx(pairs, rel=1e-13, abs=0)
+    assert m.p1 == pytest.approx(populations[1], rel=1e-13, abs=0)

@@ -7,10 +7,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magnon_blockade.model import ModelParams, build_dissipators, build_effective_hamiltonian
+from magnon_blockade.model import ModelParams, build_dissipators
 from magnon_blockade import steady_state
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
-from magnon_blockade.operators import DensityMatrix, HilbertSpec, mode_annihilation, qubit_sigma_minus
+from magnon_blockade.operators import DensityMatrix, HilbertSpec, ladder_operators
 from magnon_blockade.steady_state import (
     DENSE_SOLVE_MAX_ROWS,
     MAX_HILBERT_DIM,
@@ -30,6 +30,7 @@ from magnon_blockade.steady_state import (
     vectorize,
 )
 from oracles import (
+    build_effective_hamiltonian,
     evolve_to_steady_state,
     mode_occupation,
     trace_distance,
@@ -146,12 +147,11 @@ class TestBuildLiouvillian:
         # generator of H written out term by term plus explicit channels.
         p = ModelParams(n_modes, delta, coupling, probe, drive, phase, decay, cutoff)
         spec = p.hilbert_spec()
-        sm = qubit_sigma_minus(spec)
+        sm, modes = ladder_operators(spec)
         sp_ = sm.conj().T
         h = delta * (sp_ @ sm) + probe * (np.exp(-1j * phase) * sp_ + np.exp(1j * phase) * sm)
         channels = [(sm, decay)]
-        for j in range(1, n_modes + 1):
-            m = mode_annihilation(j, spec)
+        for m in modes:
             h = h + delta * (m.conj().T @ m) + coupling * (m @ sp_ + m.conj().T @ sm)
             h = h + drive * (m.conj().T + m)
             channels.append((m, decay))
@@ -427,7 +427,7 @@ class TestSymmetricSectorOracle:
         # is not mode-symmetric, so the symmetric-sector solve misses it.
         p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 3)
         spec = p.hilbert_spec()
-        sm, m2 = qubit_sigma_minus(spec), mode_annihilation(2, spec)
+        sm, (_, m2) = ladder_operators(spec)
         h = build_effective_hamiltonian(p) - 5.0 * (
             m2 @ sm.conj().T + m2.conj().T @ sm
         )
@@ -445,8 +445,7 @@ class TestSymmetricSectorOracle:
         p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 2)
         spec = p.hilbert_spec()
         h = build_effective_hamiltonian(p)
-        for j in (1, 2):
-            m = mode_annihilation(j, spec)
+        for m in ladder_operators(spec)[1]:
             h = h + 1j * eps * (m + m.conj().T)
         channels = [(o, p.decay) for o in build_dissipators(spec)]
         lv = Liouvillian(liouvillian_matrix(h, channels), spec)

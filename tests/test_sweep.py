@@ -47,6 +47,17 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="drive_rabi axis, not 'theta'"):
             SweepSpec(fig2_params(), "theta", (0.0, 1.0), probe_tracks_drive=5.0)
 
+    def test_grid_point_out_of_range_named(self):
+        with pytest.raises(ValueError, match=r"^grid point kappa = 0\.0: decay must be positive"):
+            SweepSpec(fig2_params(), "kappa", (1.0, 0.0, -1.0))
+        with pytest.raises(ValueError, match=r"^grid point theta = nan: phase must be finite"):
+            SweepSpec(fig2_params(), "theta", (math.nan,))
+
+    @pytest.mark.parametrize("tracks, cause", [(-3.0, "nonnegative"), (math.nan, "finite")])
+    def test_bad_probe_tracking_named(self, tracks, cause):
+        with pytest.raises(ValueError, match=f"with probe_tracks_drive = {tracks}: .*{cause}"):
+            SweepSpec(fig2_params(), "drive_rabi", (0.01, 0.02), probe_tracks_drive=tracks)
+
 
 class TestApplyAxis:
     def test_delta_over_j(self):
