@@ -31,6 +31,7 @@ from .steady_state import (
     SteadyStateError, TruncationError, build_liouvillian, converge_truncation, solve_steady_state,
 )
 from .sweep import (
+    ENGINES,
     SweepRecord,
     SweepSpec,
     find_minimum,
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--axis", required=True)
     opt.add_argument("--bracket-lo", type=float, required=True, dest="bracket_lo")
     opt.add_argument("--bracket-hi", type=float, required=True, dest="bracket_hi")
-    opt.add_argument("--engine", default="numeric", choices=("numeric", "analytic"))
+    opt.add_argument("--engine", default="numeric", choices=ENGINES)
     opt.set_defaults(func=cmd_optimize)
 
     scaling = sub.add_parser("verify-scaling", help="fit sqrt(N) scaling of the "

@@ -44,8 +44,7 @@ class ModelParams:
             raise ValueError("decay must be positive (no steady state otherwise)")
         if self.coupling < 0 or self.probe_rabi < 0 or self.drive_rabi < 0:
             raise ValueError("coupling and drive amplitudes must be nonnegative")
-        if self.fock_cutoff < 1:
-            raise ValueError("fock_cutoff must be at least 1")
+        self.hilbert_spec()  # rejects a Fock cutoff below 1
 
     def hilbert_spec(self) -> HilbertSpec:
         return HilbertSpec(self.n_modes, self.fock_cutoff)

@@ -39,8 +39,6 @@ def _fock_moments(rho: DensityMatrix) -> tuple[float, float, float]:
     All three come from the mode's Fock populations P_n: the diagonal of rho,
     reshaped to one axis per subsystem and summed over every axis but mode 1's.
     """
-    if rho.spec.fock_cutoff < 1:
-        raise ValueError("no excitation sector: fock cutoff must be at least 1")
     diagonal = np.real(np.diagonal(rho.matrix)).reshape(rho.spec.dims)
     populations = diagonal.sum(axis=(0, *range(2, diagonal.ndim)))
     n = np.arange(populations.size)

@@ -17,7 +17,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class HilbertSpec:
-    """Dimensions of the composite qubit + N-mode space."""
+    """Dimensions of the composite qubit + N-mode space.  A Fock cutoff
+    below 1 leaves no mode an excitation sector and is rejected."""
 
     n_modes: int
     fock_cutoff: int
@@ -25,8 +26,8 @@ class HilbertSpec:
     def __post_init__(self):
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
-        if self.fock_cutoff < 0:
-            raise ValueError("fock_cutoff must be nonnegative")
+        if self.fock_cutoff < 1:
+            raise ValueError("fock_cutoff must be at least 1: cutoff 0 has no excitation sector")
 
     @property
     def local_dim(self) -> int:
@@ -66,8 +67,6 @@ def ladder_operators(spec: HilbertSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     (on the qubit that is |g><e|), in a Kronecker product with identities
     on every other site.
     """
-    if spec.fock_cutoff < 1:
-        raise ValueError("no excitation sector: fock cutoff must be at least 1")
     ops = []
     for site, d in enumerate(spec.dims):
         factors = [np.eye(dk) for dk in spec.dims]

@@ -26,8 +26,10 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis over a base parameter set.  Construction builds every
-    grid point's parameters, so a point out of range fails before any solve."""
+    """One sweep axis over a base parameter set.  Construction builds and
+    checks each grid point's parameters once, keeping them in grid order as
+    ``points`` (no argument; left out of repr and ==), so a point out of
+    range fails before any solve, named with its axis and value."""
 
     base: ModelParams
     axis: str
@@ -35,6 +37,7 @@ class SweepSpec:
     engines: tuple[str, ...] = ("numeric",)
     #: When sweeping drive_rabi, keep probe_rabi at this multiple of the drive.
     probe_tracks_drive: float | None = None
+    points: tuple[ModelParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -53,12 +56,14 @@ class SweepSpec:
             )
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         tracks = self.probe_tracks_drive
+        points = []
         for v in self.grid:
             try:
-                apply_axis(self.base, self.axis, v, tracks)
+                points.append(apply_axis(self.base, self.axis, v, tracks))
             except ValueError as exc:
                 with_tracks = "" if tracks is None else f" with probe_tracks_drive = {tracks}"
                 raise ValueError(f"grid point {self.axis} = {v}{with_tracks}: {exc}") from exc
+        object.__setattr__(self, "points", tuple(points))
 
 
 @dataclass(frozen=True)
@@ -119,43 +124,26 @@ def analytic_g2(p: ModelParams) -> float:
     return g2_analytic(amplitudes_for(p))
 
 
-def _evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
-    p = apply_axis(spec.base, spec.axis, value, spec.probe_tracks_drive)
-    g2_num = g2_an = p1 = occupation = None
-    n_max = None
-    classification = None
-    error = None
+def _evaluate_point(p: ModelParams, value: float, engines: tuple[str, ...]) -> SweepRecord:
+    row = {}
     try:
-        if "analytic" in spec.engines:
+        if "analytic" in engines:
             amps = amplitudes_for(p)
-            g2_an = g2_analytic(amps)
-            p1 = amps.p_g1
-        if "numeric" in spec.engines:
-            metrics = blockade_metrics(converge_truncation(p))
-            g2_num = metrics.g2_zero
-            p1 = metrics.p1
-            occupation = metrics.occupation
-            n_max = metrics.n_max
-            classification = metrics.classification
-        elif g2_an is not None:
-            classification = classify_statistics(g2_an)
+            row.update(g2_analytic=g2_analytic(amps), p1=amps.p_g1)
+        if "numeric" in engines:
+            m = blockade_metrics(converge_truncation(p))
+            row.update(g2_numeric=m.g2_zero, p1=m.p1, occupation=m.occupation,
+                       n_max=m.n_max, classification=m.classification)
+        else:
+            row["classification"] = classify_statistics(row["g2_analytic"])
     except Exception as exc:  # per-row failures must not abort the sweep
-        error = f"{type(exc).__name__}: {exc}"
-    return SweepRecord(
-        axis_value=value,
-        g2_numeric=g2_num,
-        g2_analytic=g2_an,
-        p1=p1,
-        occupation=occupation,
-        n_max=n_max,
-        classification=classification,
-        error=error,
-    )
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return SweepRecord(axis_value=value, **row)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate every grid point in turn, in this process; one record per point, in grid order."""
-    return [_evaluate_point(spec, v) for v in spec.grid]
+    return [_evaluate_point(p, v, spec.engines) for v, p in zip(spec.grid, spec.points)]
 
 
 class BracketError(ValueError):
@@ -196,30 +184,26 @@ def find_minimum(
 ) -> tuple[float, float]:
     """Locate the g2 minimum along one axis inside the bracket.
 
-    A coarse scan finds an interior bracketing triple, which golden-section
-    search then refines.  Raises BracketError when no interior minimum
-    exists in the bracket, and ValueError before any evaluation for an
-    unknown engine, n_scan < 3 or a rel_tol that is not finite and positive.
+    A coarse scan, the SweepSpec of n_scan points from lo to hi, finds an
+    interior bracketing triple, which golden-section search then refines.
+    Raises BracketError when no interior minimum exists in the bracket, and
+    ValueError before any evaluation for n_scan < 3, a rel_tol that is not
+    finite and positive, an unknown axis or engine, a bracket lo == hi (not
+    strictly monotone) or a scan point out of range, named as in SweepSpec.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     if n_scan < 3:
         raise ValueError(f"n_scan must be at least 3 to bracket a minimum, got {n_scan}")
     _check_rel_tol(rel_tol)
-    evaluator = numeric_g2 if engine == "numeric" else analytic_g2
-
-    def f(v: float) -> float:
-        return evaluator(apply_axis(base, axis, v))
-
     lo, hi = bracket
-    xs = np.linspace(lo, hi, n_scan)
-    ys = [f(x) for x in xs]
+    scan = SweepSpec(base, axis, tuple(np.linspace(lo, hi, n_scan)), (engine,))
+    evaluator = numeric_g2 if engine == "numeric" else analytic_g2
+    ys = [evaluator(p) for p in scan.points]
     k = int(np.argmin(ys))
     if k == 0 or k == n_scan - 1:
-        raise BracketError(
-            f"no interior minimum of g2 along {axis} in [{lo}, {hi}]"
-        )
-    return golden_section(f, xs[k - 1], xs[k + 1], rel_tol=rel_tol)
+        raise BracketError(f"no interior minimum of g2 along {axis} in [{lo}, {hi}]")
+    # Valid values of every axis form an interval, so points between checked ones are valid.
+    return golden_section(lambda v: evaluator(apply_axis(base, axis, v)),
+                          scan.grid[k - 1], scan.grid[k + 1], rel_tol=rel_tol)
 
 
 @dataclass(frozen=True)

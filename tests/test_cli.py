@@ -313,6 +313,21 @@ class TestOptimizeCommand:
         assert main(args) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    def test_bracket_out_of_range_exit_1_before_any_solve(self, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(sweep, "numeric_g2", lambda p: solves.append(p) or 1.0)
+        args = [
+            "optimize", *BASE_FLAGS,
+            "--axis", "kappa",
+            "--bracket-lo", "1",
+            "--bracket-hi", "-1",
+        ]
+        assert main(args) == 1
+        assert solves == []
+        assert "configuration error: grid point kappa = 0.0: decay must be positive" in (
+            capsys.readouterr().err
+        )
+
     def test_zero_minimum_reported(self, capsys, monkeypatch):
         # g2_zero_delay clamps round-off moments to 0, so a minimum of
         # exactly 0 is a result, not a configuration error.

@@ -44,7 +44,7 @@ class TestModelParams:
             fig2_params().with_(**{field: value})
 
     def test_rejects_zero_cutoff(self):
-        with pytest.raises(ValueError, match="fock_cutoff"):
+        with pytest.raises(ValueError, match="^fock_cutoff .*no excitation sector"):
             ModelParams(1, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=0)
 
     def test_hilbert_spec_is_modes_and_cutoff(self):

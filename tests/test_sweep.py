@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from magnon_blockade import sweep
 from magnon_blockade.analytic import optimal_conditions, theta_optimal_exact
 from magnon_blockade.model import ModelParams
+from magnon_blockade.steady_state import TruncationError
 from magnon_blockade.sweep import (
     BracketError,
     SweepSpec,
@@ -57,6 +59,18 @@ class TestSweepSpec:
     def test_bad_probe_tracking_named(self, tracks, cause):
         with pytest.raises(ValueError, match=f"with probe_tracks_drive = {tracks}: .*{cause}"):
             SweepSpec(fig2_params(), "drive_rabi", (0.01, 0.02), probe_tracks_drive=tracks)
+
+    def test_points_are_built_state_not_arguments(self):
+        params = list(inspect.signature(SweepSpec).parameters)
+        assert params == ["base", "axis", "grid", "engines", "probe_tracks_drive"]
+        with pytest.raises(TypeError):
+            SweepSpec(fig2_params(), "theta", (0.0,), points=(fig2_params(),))
+        spec = SweepSpec(fig2_params(), "theta", (0.0, 0.01))
+        assert spec.points == (fig2_params(), fig2_params(phase=0.01))
+        other = SweepSpec(fig2_params(), "theta", (0.0, 0.01))
+        object.__setattr__(other, "points", ())
+        assert other == spec and hash(other) == hash(spec)
+        assert repr(other) == repr(spec) and "points" not in repr(spec)
 
 
 class TestApplyAxis:
@@ -113,6 +127,36 @@ class TestRunSweep:
             assert rec.n_max >= 2
             assert rec.classification == "antibunching"
 
+    def test_each_grid_point_built_once(self, monkeypatch):
+        calls = []
+        real = sweep.apply_axis
+        monkeypatch.setattr(sweep, "apply_axis", lambda *a: calls.append(a) or real(*a))
+        spec = SweepSpec(fig2_params(), "theta", (0.0, 0.005, 0.01, 0.015, 0.02), ("analytic",))
+        records = run_sweep(spec)
+        assert len(calls) == 5
+        assert [r.axis_value for r in records] == list(spec.grid)
+
+    def test_numeric_failure_keeps_analytic_values(self, monkeypatch):
+        real = sweep.converge_truncation
+
+        def failing_at_middle(p):
+            if p.phase == 0.005:
+                raise TruncationError("no convergence")
+            return real(p)
+
+        monkeypatch.setattr(sweep, "converge_truncation", failing_at_middle)
+        spec = SweepSpec(fig2_params(), "theta", (0.0, 0.005, 0.01), ("numeric", "analytic"))
+        first, failed, last = run_sweep(spec)
+        assert failed.error == "TruncationError: no convergence"
+        assert failed.g2_analytic == sweep.analytic_g2(fig2_params(phase=0.005)) > 0
+        assert failed.p1 == sweep.amplitudes_for(fig2_params(phase=0.005)).p_g1
+        assert failed.g2_numeric is None and failed.occupation is None
+        assert failed.n_max is None and failed.classification is None
+        for rec in (first, last):
+            assert rec.error is None
+            assert rec.g2_numeric > 0 and rec.g2_analytic > 0
+            assert rec.n_max >= 2 and rec.classification == "antibunching"
+
     def test_row_failure_is_isolated(self):
         spec = SweepSpec(
             fig2_params(),
@@ -163,6 +207,21 @@ class TestMinimumSearch:
         monkeypatch.setattr(sweep, "analytic_g2", lambda p: counting(p.phase))
         with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
             find_minimum(fig2_params(), "theta", (0.0, 1.0), engine="analytic", rel_tol=rel_tol)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [((1.0, -1.0), r"^grid point kappa = 0\.0: decay must be positive"),
+         ((0.01, 0.01), "strictly monotone")],
+        ids=["kappa-through-zero", "degenerate"],
+    )
+    @pytest.mark.parametrize("engine", sweep.ENGINES)
+    def test_scan_checked_before_any_evaluation(self, bracket, message, engine, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep, "numeric_g2", lambda p: calls.append(p) or 1.0)
+        monkeypatch.setattr(sweep, "analytic_g2", lambda p: calls.append(p) or 1.0)
+        with pytest.raises(ValueError, match=message):
+            find_minimum(fig2_params(), "kappa", bracket, engine=engine, n_scan=9)
         assert calls == []
 
     @pytest.mark.parametrize("n_scan", [-1, 0, 1, 2])
