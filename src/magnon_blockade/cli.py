@@ -2,16 +2,19 @@
 
 Subcommands: `steady g2`, `sweep`, `optimize`, `verify-scaling`, and
 `preset fig2..fig7`.  Parameters come from flags and/or a flat key=value
-config file, read once per command; flags win.  Each key of PARAM_KEYS and
-SWEEP_KEYS is also the flag `--` + key with `_` turned into `-`.  All rates
-are in units of gamma (gamma / 2 pi = 1 MHz), angles in radians.
+config file, read once per command; flags win.  PARAM_KEYS are the fields
+of ModelParams, and those without a default are required.  Each key of
+PARAM_KEYS and SWEEP_KEYS is also the flag `--` + key with `_` turned into
+`-`.  All rates are in units of gamma (gamma / 2 pi = 1 MHz), angles in
+radians.
 
-Exit codes: 0 success, 1 configuration error (any ValueError the library
-raises for the given input, an analytic `optimize` at a resonance or an
-undriven point, a bad grid_scale, or an OSError such as a missing config
-file or an unusable output path, which is opened before the first point),
-2 when any sweep row or scaling entry failed or a single-point solve did
-not converge or had no unique steady state.
+Exit codes, all mapped in `main`: 0 success, 1 configuration error (any
+ValueError the library raises for the given input, a ZeroDivisionError such
+as an analytic `optimize` at a resonance or an undriven point, a bad
+grid_scale, or an OSError such as a missing config file or an unusable
+output path, which is opened before the first point), 2 when any sweep row
+or scaling entry failed or a single-point solve did not converge or had no
+unique steady state.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import contextlib
 import csv
 import math
 import sys
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +33,12 @@ import numpy as np
 from .model import ModelParams
 from .observables import blockade_metrics
 from .steady_state import (
-    SteadyStateError, TruncationError, build_liouvillian, converge_truncation, solve_steady_state,
+    N_MAX_LIMIT, N_MAX_START, SteadyStateError, TruncationError, build_liouvillian,
+    converge_truncation, solve_steady_state,
 )
 from .sweep import (
     ENGINES,
+    PRESETS,
     SweepRecord,
     SweepSpec,
     find_minimum,
@@ -52,16 +59,7 @@ CSV_HEADER = [
     "classification",
 ]
 
-PARAM_KEYS = {
-    "n_modes": int,
-    "delta": float,
-    "coupling": float,
-    "probe_rabi": float,
-    "drive_rabi": float,
-    "phase": float,
-    "decay": float,
-    "fock_cutoff": int,
-}
+PARAM_KEYS = typing.get_type_hints(ModelParams)
 
 SWEEP_KEYS = {
     "axis": str,
@@ -75,9 +73,10 @@ SWEEP_KEYS = {
 FLAG_HELP = {
     "fock_cutoff": (
         "Fock cutoff of `steady g2` without --converge and of numeric `optimize` "
-        "(default 4); numeric `sweep` rows escalate from 2 to 8 and ignore it"),
+        f"(default {ModelParams.fock_cutoff}); numeric `sweep` rows escalate from "
+        f"{N_MAX_START} to {N_MAX_LIMIT} and ignore it"),
     "grid_scale": "lin (default) or log",
-    "engine": "numeric, analytic, or numeric,analytic",
+    "engine": f"{', '.join(ENGINES)}, or {','.join(ENGINES)}",
 }
 
 
@@ -126,13 +125,10 @@ def _collect_params(args) -> tuple[ModelParams, dict]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    missing = [k for k in PARAM_KEYS if k != "fock_cutoff" and k not in values]
+    missing = [f.name for f in fields(ModelParams) if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
-    try:
-        return ModelParams(**{k: v for k, v in values.items() if k in PARAM_KEYS}), values
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelParams(**{k: v for k, v in values.items() if k in PARAM_KEYS}), values
 
 
 def _format(value) -> str:
@@ -193,16 +189,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = tuple(float(v) for v in np.linspace(start, stop, points))
     engines = tuple(e.strip() for e in engine.split(",") if e.strip())
-    try:
-        spec = SweepSpec(
-            base,
-            axis,
-            grid,
-            engines,
-            probe_tracks_drive=args.probe_tracks_drive,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(base, axis, grid, engines, probe_tracks_drive=args.probe_tracks_drive)
     # Open the output before the first point, so an unusable path costs no solve.
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
         return _emit_records(run_sweep(spec), out)
@@ -210,12 +197,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_optimize(args) -> int:
     base, _ = _collect_params(args)
-    try:
-        argmin, minimum = find_minimum(
-            base, args.axis, (args.bracket_lo, args.bracket_hi), engine=args.engine
-        )
-    except ZeroDivisionError as exc:  # analytic resonance or undriven point
-        raise ConfigError(str(exc)) from exc
+    argmin, minimum = find_minimum(
+        base, args.axis, (args.bracket_lo, args.bracket_hi), engine=args.engine
+    )
     print(f"argmin = {argmin:.8g}")
     print(f"min_g2 = {minimum:.6e}")
     print(f"log10_min_g2 = {math.log10(minimum):.4f}" if minimum > 0 else "log10_min_g2 = -inf")
@@ -296,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.set_defaults(func=cmd_verify_scaling)
 
     preset = sub.add_parser("preset", help="pinned figure-reproduction sweeps")
-    preset.add_argument("name", choices=[f"fig{i}" for i in range(2, 8)])
+    preset.add_argument("name", choices=PRESETS)
     preset.add_argument("--output-dir", default=".", dest="output_dir")
     preset.set_defaults(func=cmd_preset)
 
@@ -308,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (TruncationError, SteadyStateError) as exc:

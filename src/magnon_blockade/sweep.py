@@ -2,8 +2,10 @@
 
 A sweep evaluates its grid points one after another in one process; the
 LU factorization of each point's solve already uses every BLAS thread.
-Printed values can differ in their 11th or 12th significant digit between
-BLAS thread counts.
+The numeric g2 depends on the BLAS thread count, most near a dip: at N = 3,
+cutoff 2, J = 20, kappa = 0.5, drive 0.001 and theta = theta_general it
+differs by 7.2e-6 relative between 1 and 2 threads (1.5e-7 and 2.4e-7 at
+0.9 and 1.1 theta), so a 12-digit print can differ from its 6th digit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .steady_state import build_liouvillian, converge_truncation, solve_steady_s
 
 AXES = ("delta_over_j", "probe_over_drive", "theta", "drive_rabi", "kappa")
 ENGINES = ("numeric", "analytic")
+PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -228,7 +231,8 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
 
     For each N, two rounds of coordinate descent with golden-section line
     searches on the numeric g2, at drive 0.001 and Fock cutoff 2, start from
-    optimal_conditions(N, r) and bracket the detuning in 0.7..1.3 sqrt(N) J,
+    optimal_conditions(N, kappa / J) at kappa = r J (r itself, or one ulp from
+    it) with phase theta_general, and bracket the detuning in 0.7..1.3 sqrt(N) J,
     the probe in 2..4 sqrt(N) drives and the phase in 0.3..2 times its start.
     The three optimized ratios are then regressed against N on log-log axes;
     expected exponents: +1/2, +1/2, -1/2.  Bad or repeated N, r or coupling
@@ -240,24 +244,15 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
         raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling <= 0:
         raise ValueError("coupling must be positive")
-    kappa, drive = r * coupling, 0.001
-    starts = [(n, optimal_conditions(n, r)) for n in n_list]
+    drive = 0.001
+    starts = [(n, *_conditions_point(n, coupling, r * coupling, drive)) for n in n_list]
     repeated = sorted({n for n in n_list if n_list.count(n) > 1})
     if repeated:
         raise ValueError(f"n_list repeats N = {', '.join(map(str, repeated))}")
     entries = []
-    for n, start in starts:
-        root_n, theta0 = start.delta_over_j, start.theta_general
-        p = ModelParams(
-            n_modes=n,
-            delta=root_n * coupling,
-            coupling=coupling,
-            probe_rabi=start.probe_over_drive * drive,
-            drive_rabi=drive,
-            phase=theta0,
-            decay=kappa,
-            fock_cutoff=2,
-        )
+    for n, p, c in starts:
+        root_n, theta0 = c.delta_over_j, c.theta_general
+        p = p.with_(phase=theta0, fock_cutoff=2)
         searches = (
             ("delta_over_j", (0.7 * root_n, 1.3 * root_n)),
             ("probe_over_drive", (2.0 * root_n, 4.0 * root_n)),
@@ -348,4 +343,4 @@ def preset_sweeps(name: str) -> list[tuple[str, SweepSpec]]:
              SweepSpec(_conditions_point(2, j, 1.0, 0.1)[0], "probe_over_drive", grid))
             for j in (1.0, 5.0, 10.0, 20.0)
         ]
-    raise ValueError(f"unknown preset {name!r}; choose fig2..fig7")
+    raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")

@@ -1,7 +1,9 @@
+import argparse
 import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -10,11 +12,15 @@ import magnon_blockade
 from magnon_blockade import steady_state, sweep
 from magnon_blockade.cli import (
     CSV_HEADER,
+    PARAM_KEYS,
     ConfigError,
+    _collect_params,
+    build_parser,
     load_config,
     main,
 )
 from magnon_blockade.model import ModelParams
+from magnon_blockade.steady_state import N_MAX_LIMIT, N_MAX_START
 from magnon_blockade.sweep import SweepSpec
 
 BASE_FLAGS = [
@@ -467,3 +473,114 @@ class TestImportSurface:
                      "mode_annihilation", "qubit_sigma_minus"):
             assert not hasattr(magnon_blockade.operators, name)
         assert not hasattr(magnon_blockade.model, "build_effective_hamiltonian")
+
+
+def _subcommand_parsers(parser, path=()):
+    """(subcommand path, parser) for every subcommand, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommand_parsers(sub, (*path, name))
+    if path:
+        yield " ".join(path), parser
+
+
+def _surface(parser) -> list[tuple]:
+    """(option strings, dest, default, type name, choices, required) per argument."""
+    return [
+        (tuple(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", None),
+         None if a.choices is None else tuple(a.choices), a.required)
+        for a in parser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+_MODEL_FLAGS = [
+    (("--config",), "config", None, None, None, False),
+    (("--n-modes",), "n_modes", None, "int", None, False),
+    (("--delta",), "delta", None, "float", None, False),
+    (("--coupling",), "coupling", None, "float", None, False),
+    (("--probe-rabi",), "probe_rabi", None, "float", None, False),
+    (("--drive-rabi",), "drive_rabi", None, "float", None, False),
+    (("--phase",), "phase", None, "float", None, False),
+    (("--decay",), "decay", None, "float", None, False),
+    (("--fock-cutoff",), "fock_cutoff", None, "int", None, False),
+]
+
+# The command-line surface as released; a change here is a change of the CLI.
+FROZEN_SURFACE = {
+    "steady": [],
+    "steady g2": [*_MODEL_FLAGS, (("--converge",), "converge", False, None, None, False)],
+    "sweep": [
+        *_MODEL_FLAGS,
+        (("--axis",), "axis", None, "str", None, False),
+        (("--grid-start",), "grid_start", None, "float", None, False),
+        (("--grid-stop",), "grid_stop", None, "float", None, False),
+        (("--grid-points",), "grid_points", None, "int", None, False),
+        (("--grid-scale",), "grid_scale", None, "str", None, False),
+        (("--engine",), "engine", None, "str", None, False),
+        (("--probe-tracks-drive",), "probe_tracks_drive", None, "float", None, False),
+        (("--output",), "output", None, None, None, False),
+    ],
+    "optimize": [
+        *_MODEL_FLAGS,
+        (("--axis",), "axis", None, None, None, True),
+        (("--bracket-lo",), "bracket_lo", None, "float", None, True),
+        (("--bracket-hi",), "bracket_hi", None, "float", None, True),
+        (("--engine",), "engine", "numeric", None, ("numeric", "analytic"), False),
+    ],
+    "verify-scaling": [
+        (("--n-list",), "n_list", "1,2,3", None, None, False),
+        (("--r",), "r", 0.025, "float", None, False),
+        (("--coupling",), "coupling", 20.0, "float", None, False),
+    ],
+    "preset": [
+        ((), "name", None, None, ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"), True),
+        (("--output-dir",), "output_dir", ".", None, None, False),
+    ],
+}
+
+
+class TestParserSurface:
+    def test_every_subcommand_matches_the_frozen_surface(self):
+        walked = {path: _surface(sub) for path, sub in _subcommand_parsers(build_parser())}
+        assert walked == FROZEN_SURFACE
+
+    def test_param_keys_are_the_model_fields(self):
+        kinds = {"int": int, "float": float}
+        assert PARAM_KEYS == {f.name: kinds[f.type] for f in fields(ModelParams)}
+        assert list(PARAM_KEYS) == [f.name for f in fields(ModelParams)]
+
+    def test_required_keys_are_the_fields_without_default(self):
+        required = set()
+        for key in PARAM_KEYS:
+            flag = "--" + key.replace("_", "-")
+            i = BASE_FLAGS.index(flag)
+            args = build_parser().parse_args(
+                ["steady", "g2", *BASE_FLAGS[:i], *BASE_FLAGS[i + 2:]])
+            try:
+                p, _ = _collect_params(args)
+            except ConfigError as exc:
+                assert str(exc) == f"missing parameters: {key}"
+                required.add(key)
+            else:
+                assert getattr(p, key) == getattr(ModelParams, key)
+        assert required == {f.name for f in fields(ModelParams) if f.default is MISSING}
+        assert required == set(PARAM_KEYS) - {"fock_cutoff"}
+
+    def test_preset_choices_are_the_presets_that_build(self):
+        parsers = dict(_subcommand_parsers(build_parser()))
+        (name_arg,) = [a for a in parsers["preset"]._actions if a.dest == "name"]
+        assert tuple(name_arg.choices) == sweep.PRESETS
+        for name in name_arg.choices:
+            specs = sweep.preset_sweeps(name)
+            assert specs and all(isinstance(spec, SweepSpec) for _, spec in specs)
+        for name in ("fig1", "fig8", "fig", "FIG2", ""):
+            with pytest.raises(ValueError, match=f"unknown preset {name!r}"):
+                sweep.preset_sweeps(name)
+
+    def test_fock_cutoff_help_names_the_library_constants(self):
+        parsers = dict(_subcommand_parsers(build_parser()))
+        (flag,) = [a for a in parsers["steady g2"]._actions if a.dest == "fock_cutoff"]
+        assert f"(default {ModelParams.fock_cutoff})" in flag.help
+        assert f"escalate from {N_MAX_START} to {N_MAX_LIMIT}" in flag.help

@@ -273,6 +273,20 @@ class TestVerifyScaling:
         with pytest.raises(ValueError, match=message):
             verify_scaling(**kwargs)
 
+    def test_search_starts_at_the_conditions_point(self, monkeypatch):
+        calls = []
+
+        def recording_search(p, axis, bracket, **_kwargs):
+            calls.append(p)
+            return sum(bracket) / 2, 1.0
+
+        monkeypatch.setattr(sweep, "find_minimum", recording_search)
+        verify_scaling(n_list=(1, 2, 3), r=0.05, coupling=35.0)
+        assert len(calls) == 3 * 6  # two rounds of three line searches per N
+        for n, first in zip((1, 2, 3), calls[::6]):
+            p, c = sweep._conditions_point(n, 35.0, 0.05 * 35.0, 0.001)
+            assert first == p.with_(phase=c.theta_general, fock_cutoff=2)
+
     def test_generator_cap_fails_entry_without_solve(self, monkeypatch):
         solves = []
 
