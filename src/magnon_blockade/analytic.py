@@ -155,7 +155,7 @@ class OptimalConditions:
 def theta_optimal_exact(n_modes: int, r: float) -> float:
     """theta*(N, r) = theta_1(r / sqrt(N)): a stationary phase, not the argmin
     of g2; see :class:`OptimalConditions`.  Raises ValueError for N < 1 and
-    for r that is not finite and positive."""
+    for r that is not finite and positive or whose (r / sqrt(N))**2 overflows."""
     return optimal_conditions(n_modes, r).theta_exact
 
 
@@ -168,6 +168,8 @@ def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
         raise ValueError("r must be positive")
     root_n = math.sqrt(n_modes)
     s = r / root_n
+    if not math.isfinite(s * s):
+        raise ValueError(f"r = {r} is too large: (r / sqrt(N))**2 overflows at N = {n_modes}")
     return OptimalConditions(
         delta_over_j=root_n,
         probe_over_drive=3 * root_n,

@@ -13,11 +13,10 @@ which reproduces d rho / dt = -i [H, rho] + sum_o (kappa_o/2) (2 o rho o^dag
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import ModelParams, build_dissipators, hamiltonian_coefficients, hamiltonian_parts
 from .observables import g2_zero_delay
@@ -33,67 +32,78 @@ RESIDUAL_RTOL = 1e-10
 DENSE_SOLVE_MAX_ROWS = 4096
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix."""
-    return rho.reshape(-1, order="F")
-
-
 def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+#: A generator's parameter-free parts and their reduction; see :func:`generator_parts`.
+GeneratorParts = namedtuple("GeneratorParts", "rows cols values positions reduced")
+
+
 @dataclass(frozen=True)
 class Liouvillian:
-    """Sparse generator acting on column-stacked density matrices."""
+    """Generator sum_k weights[k] L_k on column-stacked density matrices of spec's space."""
 
-    matrix: sp.csr_matrix
     spec: HilbertSpec
+    parts: GeneratorParts
+    weights: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.spec.dim
 
 
-def liouvillian_matrix(
-    h: np.ndarray, dissipators: list[tuple[np.ndarray, float]]
-) -> sp.csr_matrix:
-    """Generator from a Hamiltonian and (collapse operator, rate) pairs."""
-    d = h.shape[0]
-    ident = sp.identity(d, dtype=complex, format="csr")
-    h_s = sp.csr_matrix(h)
-    lv = -1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))
-    for op, rate in dissipators:
-        o = sp.csr_matrix(op)
-        odo = (o.conj().T @ o).tocsr()
-        lv = lv + 0.5 * rate * (
-            2.0 * sp.kron(o.conj(), o) - sp.kron(ident, odo) - sp.kron(odo.T, ident)
-        )
-    return lv.tocsr()
+def _generator_parts(spec: HilbertSpec, parts: list[tuple]) -> GeneratorParts:
+    """The generators of (h, [(collapse operator, rate), ...]) parts, summed
+    on the union of their nonzero entries, and their reduction."""
+    n, d, eye, keys, data, owner = spec.dim**2, spec.dim, np.eye(spec.dim), [], [], []
+    for k, (h, channels) in enumerate(parts):
+        terms = [(-1j, eye, h), (1j, h.T, eye)]  # f kron(a, b), as in the module docstring
+        for o, rate in channels:
+            odo = o.conj().T @ o
+            terms += [(rate, o.conj(), o), (-rate / 2, eye, odo), (-rate / 2, odo.T, eye)]
+        for f, a, b in terms:
+            (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+            keys.append(((ra[:, None] * d + rb) * n + ca[:, None] * d + cb).ravel())
+            data.append(f * np.outer(a[ra, ca], b[rb, cb]).ravel())
+            owner.append(np.full(keys[-1].size, k))
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.zeros((len(parts), keys.size), dtype=complex)
+    np.add.at(values, (np.concatenate(owner), inverse), np.concatenate(data))
+    keep = np.any(values != 0, axis=0)
+    (rows, cols), values = np.divmod(keys[keep], n), values[:, keep]
+    # Entry (r, c) of L meets E in up to two rows and W in up to two columns.
+    w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
+    coefs = (e_coefs[:, None, rows] * w_coefs[None, :, cols]).reshape(4, -1)
+    pair, entry = np.nonzero(coefs)
+    targets = (e_rows[:, None, rows] * trace.size + w_cols[None, :, cols]).reshape(4, -1)
+    positions, inverse = np.unique(targets[pair, entry], return_inverse=True)
+    c = coefs[pair, entry]  # one part at a time keeps the build's memory peak low
+    reduced = np.array([np.bincount(inverse, (c * v[entry]).real, positions.size) for v in values])
+    arrays = (rows, cols, values, positions, reduced)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return GeneratorParts(*arrays)
+
+
+def liouvillian_matrix(h: np.ndarray, channels: list, spec: HilbertSpec) -> Liouvillian:
+    """Generator of h and (collapse operator, rate) pairs on spec's space: one part of weight 1."""
+    return Liouvillian(spec, _generator_parts(spec, [(h, channels)]), np.ones(1))
 
 
 @functools.lru_cache(maxsize=32)
-def generator_parts(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-    """(indptr, indices, values): the generator's parameter-free parts.
+def generator_parts(spec: HilbertSpec) -> GeneratorParts:
+    """The generator's parameter-free parts on spec's space, built once.
 
     Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
-    dissipator of the collapse operators of :func:`build_dissipators` at
-    unit rate.  Row k of the complex sparse 6 x nnz matrix values is part k
-    on the CSR pattern (indptr, indices); weighted by the coefficients of
-    :func:`hamiltonian_coefficients` and kappa, the rows sum to L.  The
-    cached arrays are shared by every caller: do not modify them.
+    unit-rate dissipator of :func:`build_dissipators`; weighted by
+    :func:`hamiltonian_coefficients` and kappa, they sum to L.  values[k] is
+    part k at the entries (rows, cols) of the D^2 x D^2 generator, from
+    numpy Kronecker index arithmetic, and reduced[k] its Re(E L_k W) at the
+    flat indices positions of the m x m orbit system.  Read-only arrays.
     """
-    n = spec.dim**2
-    parts = [liouvillian_matrix(h, []).tocoo() for h in hamiltonian_parts(spec)]
-    unit_rate = [(o, 1.0) for o in build_dissipators(spec)]
-    parts.append(liouvillian_matrix(np.zeros((spec.dim, spec.dim)), unit_rate).tocoo())
-    data = np.concatenate([p.data for p in parts])
-    rows, cols = np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts])
-    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(pattern.indptr)) + pattern.indices
-    position = np.searchsorted(keys, rows.astype(np.int64) * n + cols)
-    sizes = np.cumsum([0] + [part.nnz for part in parts])
-    values = sp.csr_matrix((data, position, sizes), shape=(len(parts), keys.size))
-    return pattern.indptr, pattern.indices, values
+    unit_rate = (np.zeros((spec.dim, spec.dim)), [(o, 1.0) for o in build_dissipators(spec)])
+    return _generator_parts(spec, [(h, []) for h in hamiltonian_parts(spec)] + [unit_rate])
 
 
 def build_liouvillian(p: ModelParams) -> Liouvillian:
@@ -104,11 +114,8 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
             f"Hilbert dimension {spec.dim} of N = {spec.n_modes} modes at Fock cutoff "
             f"{spec.fock_cutoff} exceeds the generator cap {MAX_HILBERT_DIM}"
         )
-    indptr, indices, values = generator_parts(spec)
     weights = np.array([*hamiltonian_coefficients(p), p.decay])
-    n = spec.dim**2
-    matrix = sp.csr_matrix((values.T @ weights, indices.copy(), indptr.copy()), shape=(n, n))
-    return Liouvillian(matrix, spec)
+    return Liouvillian(spec, generator_parts(spec), weights)
 
 
 class SteadyStateError(RuntimeError):
@@ -138,68 +145,65 @@ def orbit_labels(spec: HilbertSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def hermitian_coordinates(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(W, E): m real coordinates y of the Hermitian permutation-invariant states.
+def hermitian_coordinates(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
+    """(w_cols, w_coefs, e_rows, e_coefs, trace): m real coordinates y of
+    the Hermitian permutation-invariant states, as numpy index maps.
 
     Orbits o and t(o) hold conjugate values, so x_o = y_o when o = t(o), and
     x_o = y_o + i y_t(o) and x_t(o) = y_o - i y_t(o) when o < t(o); v = W y.
     Row o of E sums over orbit o for o <= t(o), and row t(o) is that sum
     times -i for o < t(o), so Re(E L W) y = 0 holds the real and imaginary
-    parts of the orbit equations.  Vec index k takes row labels[k] of the
-    m x m map c into W and column labels[k] of f into E.  The cached
-    matrices are shared and read-only.
+    parts of the orbit equations.  Row k of W is w_coefs[:, k] at columns
+    w_cols[:, k], column k of E is e_coefs[:, k] at rows e_rows[:, k] (zero:
+    no entry), and trace = Re(vec(I)^T W).  Shared, read-only arrays.
     """
     d, labels = spec.dim, orbit_labels(spec)
     m = int(labels.max()) + 1
     k, o = np.arange(d * d), np.arange(m)
     t = np.empty(m, dtype=np.intp)
     t[labels] = labels[(k % d) * d + k // d]
-    lo, hi = np.minimum(o, t), np.maximum(o, t)
-    c = sp.csr_matrix(
-        (np.r_[np.ones(m), 1j * np.sign(t - o)], (np.r_[o, o], np.r_[lo, hi])), shape=(m, m)
-    )
-    f = sp.csr_matrix((np.where(o <= t, 1, -1j), (o, lo)), shape=(m, m))
-    w, e = c[labels], f.tocsc()[:, labels].tocsr()
-    for mat in (w, e):
-        mat.sort_indices()
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
-    return w, e
+    maps = [np.stack(pair)[:, labels] for pair in (
+        (np.minimum(o, t), np.maximum(o, t)), (np.ones(m), 1j * np.sign(t - o)),
+        (o, t), ((o <= t) * 1.0, np.where(o < t, -1j, 0)),
+    )] + [np.bincount(labels[:: d + 1], minlength=m).astype(float)]
+    for arr in maps:
+        arr.flags.writeable = False
+    return tuple(maps)
 
 
 def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     """Unique steady state via L vec(rho) = 0 with one row traded for trace = 1.
 
     The modes share every parameter and L preserves Hermiticity, so the
-    unique steady state is a permutation-invariant Hermitian matrix.  The
-    solve runs on its m real coordinates y of v = W y, from
-    :func:`hermitian_coordinates`: the real m x m system Re(E L W) y = 0,
-    its orbit-0 row traded for the trace condition Re(vec(I)^T W) y = 1.
-    The unknowns stay in orbit order: grouping real and imaginary parts
-    apart gives the same entries, but partial pivoting then loses the tiny
-    multi-excitation moments of a blockade dip.  Up to DENSE_SOLVE_MAX_ROWS
-    rows take a dense LU solve; larger systems a sparse LU factorization
-    followed by one step of iterative refinement, which keeps those moments
-    from drowning in round-off.  Raises SteadyStateError when the row-replaced
-    system is singular (the steady state is not unique) or the residual of
-    v on the full generator exceeds RESIDUAL_RTOL * ||L||, as it does for a
-    generator that breaks mode exchange or Hermiticity.
+    unique steady state is a permutation-invariant Hermitian matrix, v = W y
+    for m real coordinates y (:func:`hermitian_coordinates`).  The solve
+    scatters lv's reduced parts at its weights into the real m x m system
+    Re(E L W) y = 0, its orbit-0 row traded for the trace row, with the
+    unknowns in orbit order: grouped into real and imaginary parts, partial
+    pivoting loses the tiny multi-excitation moments of a blockade dip.  Up
+    to DENSE_SOLVE_MAX_ROWS rows take numpy's dense LU; larger systems
+    scipy's sparse LU (imported there only) and one refinement step, which
+    keeps those moments from drowning in round-off.  Raises SteadyStateError
+    when the row-replaced system is singular (the steady state is not
+    unique) or the residual of v on the full generator exceeds
+    RESIDUAL_RTOL * ||L||, as for a generator that breaks mode exchange or
+    Hermiticity.
     """
-    d = lv.dim
-    w, e = hermitian_coordinates(lv.spec)
-    n = w.shape[1]
-    reduced = (e @ lv.matrix @ w).real
-    trace = (vectorize(np.eye(d)) @ w).real
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-
+    parts, (w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
+    m, lead, body = trace.size, np.flatnonzero(trace), parts.positions >= trace.size
+    index = np.r_[lead, parts.positions[body]]  # the trace row in place of row 0
+    data = np.r_[trace[lead], (lv.weights @ parts.reduced)[body]]
+    rhs = np.eye(1, m)[0]
     try:
-        if n <= DENSE_SOLVE_MAX_ROWS:
-            mat = reduced.toarray()
-            mat[0] = trace
-            y = np.linalg.solve(mat, rhs)
+        if m <= DENSE_SOLVE_MAX_ROWS:
+            mat = np.zeros(m * m)
+            mat[index] = data
+            y = np.linalg.solve(mat.reshape(m, m), rhs)
         else:
-            mat = sp.vstack([sp.csr_matrix(trace), reduced.tocsr()[1:]], format="csc")
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
+            mat = sp.csc_matrix((data, np.divmod(index, m)), shape=(m, m))
             lu = spla.splu(mat)
             y = lu.solve(rhs)
             y += lu.solve(rhs - mat @ y)
@@ -207,10 +211,13 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
         raise SteadyStateError(
             f"non-unique steady state: row-replaced generator is singular ({exc})"
         ) from exc
-    v = w @ y
+    v = (w_coefs * y[w_cols]).sum(axis=0)
 
-    l_norm = spla.norm(lv.matrix)
-    residual = np.linalg.norm(lv.matrix @ v)
+    values = lv.weights @ parts.values
+    l_norm = np.linalg.norm(values)
+    l_v = np.zeros_like(v)
+    np.add.at(l_v, parts.rows, values * v[parts.cols])
+    residual = np.linalg.norm(l_v)
     if not residual <= RESIDUAL_RTOL * l_norm:  # also rejects a NaN residual
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
@@ -219,9 +226,8 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
             "that preserves Hermiticity"
         )
 
-    rho = unvectorize(v, d)
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(rho, lv.spec)
+    rho = unvectorize(v, lv.dim)
+    return DensityMatrix(rho / np.trace(rho).real, lv.spec)
 
 
 class TruncationError(RuntimeError):

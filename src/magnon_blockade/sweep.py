@@ -244,6 +244,8 @@ def verify_scaling(n_list=(1, 2, 3), r: float = 0.025, coupling: float = 20.0) -
         raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling <= 0:
         raise ValueError("coupling must be positive")
+    if math.isfinite(r) and not math.isfinite(r * coupling):
+        raise ValueError(f"r = {r} is too large: kappa = r * coupling overflows at J = {coupling}")
     drive = 0.001
     starts = [(n, *_conditions_point(n, coupling, r * coupling, drive)) for n in n_list]
     repeated = sorted({n for n in n_list if n_list.count(n) > 1})

@@ -1,12 +1,15 @@
 """Independent reference implementations that the tests check the engines against.
 
 None of these runs in a command or a sweep: density-matrix validity, the
-generator's trace preservation, time evolution as the check of the direct
-solve, the paper's closed-form probabilities as the check of the amplitude
-solve, the one-excitation spectrum, the reduced state of one subsystem and
-a per-mode occupation for states that need not be mode-symmetric, the
-dense Hamiltonian of one point, and the bright-mode map that reduces N
-modes to one.
+generator as a scipy sparse matrix (built from the operators, or converted
+from a :class:`Liouvillian`), the sparse W and E of the Hermitian orbit
+coordinates and the reduced system Re(E L W), the generator's trace
+preservation, time evolution as the check of the direct solve, the paper's
+closed-form probabilities as the check of the amplitude solve, the
+one-excitation spectrum, the reduced state of one subsystem and a per-mode
+occupation for states that need not be mode-symmetric, the dense
+Hamiltonian of one point, and the bright-mode map that reduces N modes to
+one.
 """
 
 from __future__ import annotations
@@ -15,18 +18,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.special import binom
 
 from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
 from magnon_blockade.model import ModelParams, hamiltonian_coefficients, hamiltonian_parts
-from magnon_blockade.operators import DensityMatrix
+from magnon_blockade.operators import DensityMatrix, HilbertSpec
 from magnon_blockade.steady_state import (
     Liouvillian,
     SteadyStateError,
     build_liouvillian,
+    orbit_labels,
     unvectorize,
-    vectorize,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -80,10 +84,63 @@ def mode_occupation(rho: DensityMatrix, mode: int) -> float:
     return float(np.arange(populations.size) @ populations)
 
 
+def vectorize(rho: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix: the inverse of the package's ``unvectorize``."""
+    return rho.reshape(-1, order="F")
+
+
+def sparse_generator(lv: Liouvillian) -> sp.csr_matrix:
+    """lv's full D^2 x D^2 generator: its parts summed at its weights."""
+    n = lv.dim**2
+    values = lv.weights @ lv.parts.values
+    return sp.csr_matrix((values, (lv.parts.rows, lv.parts.cols)), shape=(n, n))
+
+
+def sparse_liouvillian(
+    h: np.ndarray, dissipators: list[tuple[np.ndarray, float]]
+) -> sp.csr_matrix:
+    """Generator from a Hamiltonian and (collapse operator, rate) pairs,
+    assembled from scipy sparse Kronecker products."""
+    d = h.shape[0]
+    ident = sp.identity(d, dtype=complex, format="csr")
+    h_s = sp.csr_matrix(h)
+    lv = -1j * (sp.kron(ident, h_s) - sp.kron(h_s.T, ident))
+    for op, rate in dissipators:
+        o = sp.csr_matrix(op)
+        odo = (o.conj().T @ o).tocsr()
+        lv = lv + 0.5 * rate * (
+            2.0 * sp.kron(o.conj(), o) - sp.kron(ident, odo) - sp.kron(odo.T, ident)
+        )
+    return lv.tocsr()
+
+
+def coordinate_matrices(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(W, E) of the Hermitian orbit coordinates as sparse matrices, built
+    from the orbit labels alone: vec index k takes row labels[k] of an
+    m x m map c into W and column labels[k] of a map f into E."""
+    d, labels = spec.dim, orbit_labels(spec)
+    m = int(labels.max()) + 1
+    k, o = np.arange(d * d), np.arange(m)
+    t = np.empty(m, dtype=np.intp)
+    t[labels] = labels[(k % d) * d + k // d]
+    lo, hi = np.minimum(o, t), np.maximum(o, t)
+    c = sp.csr_matrix(
+        (np.r_[np.ones(m), 1j * np.sign(t - o)], (np.r_[o, o], np.r_[lo, hi])), shape=(m, m)
+    )
+    f = sp.csr_matrix((np.where(o <= t, 1, -1j), (o, lo)), shape=(m, m))
+    return c[labels], f.tocsc()[:, labels].tocsr()
+
+
+def reduced_system(mat: sp.spmatrix, spec: HilbertSpec) -> np.ndarray:
+    """Re(E L W) of a full generator L, dense, from :func:`coordinate_matrices`."""
+    w, e = coordinate_matrices(spec)
+    return (e @ mat @ w).real.toarray()
+
+
 def trace_residual(lv: Liouvillian) -> float:
     """Max entry of vec(I)^T L; zero for a trace-preserving generator."""
     ident = vectorize(np.eye(lv.dim, dtype=complex))
-    return float(np.max(np.abs(ident @ lv.matrix)))
+    return float(np.max(np.abs(ident @ sparse_generator(lv))))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -105,7 +162,7 @@ def evolve_to_steady_state(p: ModelParams, rho0: DensityMatrix) -> DensityMatrix
     if rho0.spec != spec:
         raise ValueError(f"initial state lives in {rho0.spec}, but the parameters fix {spec}")
     t_min, t_max, chunk, settle_tol = 20.0 / p.decay, 400.0 / p.decay, 5.0 / p.decay, 1e-9
-    mat = build_liouvillian(p).matrix
+    mat = sparse_generator(build_liouvillian(p))
 
     def rhs(_t, v):
         return mat @ v

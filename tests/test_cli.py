@@ -366,6 +366,10 @@ class TestVerifyScalingCommand:
             (["--r", "inf"], "r must be finite, got inf"),
             (["--coupling", "nan"], "coupling must be finite, got nan"),
             (["--coupling", "inf"], "coupling must be finite, got inf"),
+            # Finite but too large: (r / sqrt(N))**2, or kappa = r J first.
+            (["--r", "1e200"], "r = 1e+200 is too large: (r / sqrt(N))**2 overflows at N = 1"),
+            (["--r", "1e307"],
+             "r = 1e+307 is too large: kappa = r * coupling overflows at J = 20.0"),
         ],
     )
     def test_bad_input_exit_1(self, flags, message, capsys):
@@ -434,23 +438,40 @@ class TestPresetCommand:
             main(["preset", "fig9"])
 
 
+def fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this package."""
+    src = str(Path(magnon_blockade.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return result.stdout.strip()
+
+
 class TestImportSurface:
     def test_package_import_skips_time_integration(self):
         # scipy.integrate serves only the time-evolution oracle of the tests,
         # and sweeps run in one process, so no process pool is loaded either;
         # a fresh interpreter shows what importing the package pulls in.
-        src = str(Path(magnon_blockade.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
         code = (
             "import sys, magnon_blockade; print([name for name in ('scipy.integrate', "
             "'multiprocessing', 'concurrent.futures.process') if name in sys.modules])"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
+        assert fresh_interpreter(code) == "[]"
+
+    def test_dense_point_loads_no_sparse_scipy(self):
+        # Only the sparse branch (above DENSE_SOLVE_MAX_ROWS real rows) needs
+        # scipy; a dense-branch point (1300 rows here) runs on numpy alone.
+        code = (
+            "import sys, magnon_blockade\n"
+            "p = magnon_blockade.ModelParams(2, 28.0, 20.0, 0.0085, 0.001, 0.012, 0.5, 4)\n"
+            "value = magnon_blockade.sweep.numeric_g2(p)\n"
+            "print(value > 0, [name for name in ('scipy.sparse', 'scipy.linalg') "
+            "if name in sys.modules])"
         )
-        assert result.stdout.strip() == "[]"
+        assert fresh_interpreter(code) == "True []"
 
     def test_every_exported_name_resolves(self):
         missing = [name for name in magnon_blockade.__all__ if not hasattr(magnon_blockade, name)]

@@ -27,20 +27,44 @@ from magnon_blockade.steady_state import (
     orbit_labels,
     solve_steady_state,
     unvectorize,
-    vectorize,
 )
 from oracles import (
     build_effective_hamiltonian,
+    coordinate_matrices,
     evolve_to_steady_state,
     mode_occupation,
+    reduced_system,
+    sparse_generator,
+    sparse_liouvillian,
     trace_distance,
     trace_residual,
     validate,
+    vectorize,
 )
+
+
+#: The qubit alone: D = 2.
+QUBIT = HilbertSpec(0, 1)
 
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
     return ModelParams(1, 35.0, 35.0, 3 * drive, drive, phase, 0.5, fock_cutoff)
+
+
+def explicit_generator(p: ModelParams) -> sp.csr_matrix:
+    """p's generator from H written out term by term plus explicit channels,
+    assembled by the scipy oracle."""
+    sm, modes = ladder_operators(p.hilbert_spec())
+    sp_ = sm.conj().T
+    h = p.delta * (sp_ @ sm) + p.probe_rabi * (
+        np.exp(-1j * p.phase) * sp_ + np.exp(1j * p.phase) * sm
+    )
+    channels = [(sm, p.decay)]
+    for m in modes:
+        h = h + p.delta * (m.conj().T @ m) + p.coupling * (m @ sp_ + m.conj().T @ sm)
+        h = h + p.drive_rabi * (m.conj().T + m)
+        channels.append((m, p.decay))
+    return sparse_liouvillian(h, channels)
 
 
 def full_space_solve(lv: Liouvillian) -> DensityMatrix:
@@ -52,7 +76,7 @@ def full_space_solve(lv: Liouvillian) -> DensityMatrix:
     d = lv.dim
     n = d * d
     trace_row = sp.csr_matrix(vectorize(np.eye(d, dtype=complex)))
-    mat = sp.vstack([trace_row, lv.matrix[1:]], format="csc")
+    mat = sp.vstack([trace_row, sparse_generator(lv)[1:]], format="csc")
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
     if n <= DENSE_SOLVE_MAX_ROWS:
@@ -78,14 +102,14 @@ class TestVectorization:
 
 class TestLiouvillianMatrix:
     def test_free_evolution_is_zero(self):
-        lv = liouvillian_matrix(np.zeros((3, 3), dtype=complex), [])
+        lv = sparse_generator(liouvillian_matrix(np.zeros((4, 4)), [], HilbertSpec(1, 1)))
         assert lv.nnz == 0
 
     def test_qubit_decay_action(self):
         # kappa/2 two-sided convention: an excited population decays at kappa.
         sm = np.array([[0, 1], [0, 0]], dtype=complex)
         kappa = 0.7
-        lv = liouvillian_matrix(np.zeros((2, 2), dtype=complex), [(sm, kappa)])
+        lv = sparse_generator(liouvillian_matrix(np.zeros((2, 2)), [(sm, kappa)], QUBIT))
         rho_e = np.diag([0.0, 1.0]).astype(complex)
         drho = unvectorize(lv @ vectorize(rho_e), 2)
         expected = kappa * (np.diag([1.0, -1.0]).astype(complex))
@@ -94,7 +118,7 @@ class TestLiouvillianMatrix:
     def test_coherence_decays_at_half_rate(self):
         sm = np.array([[0, 1], [0, 0]], dtype=complex)
         kappa = 0.7
-        lv = liouvillian_matrix(np.zeros((2, 2), dtype=complex), [(sm, kappa)])
+        lv = sparse_generator(liouvillian_matrix(np.zeros((2, 2)), [(sm, kappa)], QUBIT))
         coherence = np.array([[0, 1], [0, 0]], dtype=complex)
         drho = unvectorize(lv @ vectorize(coherence), 2)
         assert np.allclose(drho, -0.5 * kappa * coherence)
@@ -108,7 +132,7 @@ class TestLiouvillianMatrix:
         h = rng.normal(size=(4, 4))
         h = (h + h.T).astype(complex)
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lv = liouvillian_matrix(h, [])
+        lv = sparse_generator(liouvillian_matrix(h, [], HilbertSpec(1, 1)))
         drho = unvectorize(lv @ vectorize(rho), 4)
         assert np.allclose(drho, -1j * (h @ rho - rho @ h))
 
@@ -122,7 +146,7 @@ class TestBuildLiouvillian:
     def test_shape(self):
         p = fig2_params(fock_cutoff=2)
         lv = build_liouvillian(p)
-        assert lv.matrix.shape == (36, 36)
+        assert sparse_generator(lv).shape == (36, 36)
         assert lv.dim == 6
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -146,17 +170,8 @@ class TestBuildLiouvillian:
         # The cached parts weighted by one point's parameters give the
         # generator of H written out term by term plus explicit channels.
         p = ModelParams(n_modes, delta, coupling, probe, drive, phase, decay, cutoff)
-        spec = p.hilbert_spec()
-        sm, modes = ladder_operators(spec)
-        sp_ = sm.conj().T
-        h = delta * (sp_ @ sm) + probe * (np.exp(-1j * phase) * sp_ + np.exp(1j * phase) * sm)
-        channels = [(sm, decay)]
-        for m in modes:
-            h = h + delta * (m.conj().T @ m) + coupling * (m @ sp_ + m.conj().T @ sm)
-            h = h + drive * (m.conj().T + m)
-            channels.append((m, decay))
-        expected = liouvillian_matrix(h, channels)
-        got = build_liouvillian(p).matrix
+        expected = explicit_generator(p)
+        got = sparse_generator(build_liouvillian(p))
         assert abs(got - expected).max() <= 1e-14 * abs(expected).max()
 
     def test_cache_holds_no_point(self):
@@ -165,21 +180,29 @@ class TestBuildLiouvillian:
         p = ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)
         q = p.with_(delta=31.0, coupling=17.0, probe_rabi=0.4, phase=-1.2, decay=0.9)
         build_liouvillian(p)
-        after_p = build_liouvillian(q).matrix
+        after_p = sparse_generator(build_liouvillian(q))
         generator_parts.cache_clear()
-        fresh = build_liouvillian(q).matrix
+        fresh = sparse_generator(build_liouvillian(q))
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(after_p, attr), getattr(fresh, attr))
 
     def test_editing_a_result_leaves_the_cache_alone(self):
         p = ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)
-        first = build_liouvillian(p).matrix
+        first = sparse_generator(build_liouvillian(p))
         want = first.copy()
         first.data *= 2.0
         first.indices[:] = 0
-        again = build_liouvillian(p).matrix
+        again = sparse_generator(build_liouvillian(p))
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(again, attr), getattr(want, attr))
+
+    def test_cached_parts_are_read_only(self):
+        # Every generator of a space shares its parts, so none may edit them.
+        parts = build_liouvillian(ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)).parts
+        assert parts is generator_parts(HilbertSpec(2, 2))
+        for arr in parts:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 class TestSolveSteadyState:
@@ -262,7 +285,7 @@ class TestSolveSteadyState:
         # Without dissipation every diagonal state is stationary; the
         # row-replaced system is singular in both the dense (4 rows) and the
         # sparse (4356 rows) branch.
-        lv = Liouvillian(liouvillian_matrix(np.zeros((spec.dim, spec.dim)), []), spec)
+        lv = liouvillian_matrix(np.zeros((spec.dim, spec.dim)), [], spec)
         with pytest.raises(SteadyStateError, match="non-unique steady state"):
             solve_steady_state(lv)
 
@@ -319,11 +342,23 @@ def transpose_partners(spec: HilbertSpec) -> np.ndarray:
     return partner
 
 
+def map_matrices(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """W and E assembled from the index maps of hermitian_coordinates."""
+    w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
+    n, m = w_cols.shape[1], trace.size
+    k = np.tile(np.arange(n), 2)
+    w = sp.csr_matrix((w_coefs.ravel(), (k, w_cols.ravel())), shape=(n, m))
+    e = sp.csr_matrix((e_coefs.ravel(), (e_rows.ravel(), k)), shape=(m, n))
+    for mat in (w, e):
+        mat.eliminate_zeros()
+    return w, e
+
+
 class TestHermitianCoordinates:
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 2), (2, 2), (3, 1), (2, 4)])
     def test_one_real_unknown_per_orbit(self, n_modes, cutoff):
         spec = HilbertSpec(n_modes, cutoff)
-        w, e = hermitian_coordinates(spec)
+        w, e = map_matrices(spec)
         m = orbit_labels(spec).max() + 1
         assert w.shape == (spec.dim**2, m)
         assert e.shape == (m, spec.dim**2)
@@ -336,10 +371,22 @@ class TestHermitianCoordinates:
         assert np.array_equal(gram, np.diag(np.diag(gram)))
         assert np.all(np.diag(gram).real > 0)
 
+    @pytest.mark.parametrize("n_modes, cutoff", [(0, 1), (1, 2), (2, 2), (3, 1), (2, 3)])
+    def test_index_maps_match_sparse_construction(self, n_modes, cutoff):
+        # The maps give W and E entry for entry as the sparse products of the
+        # oracle, and their trace row is Re(vec(I)^T W).
+        spec = HilbertSpec(n_modes, cutoff)
+        for got, want in zip(map_matrices(spec), coordinate_matrices(spec)):
+            assert got.shape == want.shape
+            assert abs(got - want).max() == 0
+        trace = hermitian_coordinates(spec)[4]
+        w, _ = coordinate_matrices(spec)
+        assert np.array_equal(trace, (vectorize(np.eye(spec.dim)) @ w).real)
+
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 3), (2, 2), (3, 1)])
     def test_states_are_hermitian_and_mode_symmetric(self, n_modes, cutoff):
         spec = HilbertSpec(n_modes, cutoff)
-        w, _ = hermitian_coordinates(spec)
+        w, _ = map_matrices(spec)
         y = np.random.default_rng(n_modes).normal(size=w.shape[1])
         rho = unvectorize(w @ y, spec.dim)
         assert np.array_equal(rho, rho.conj().T)
@@ -350,7 +397,7 @@ class TestHermitianCoordinates:
         # Row o of Re(E X) is the real part of the orbit-o sum of X for
         # o <= t(o), and its imaginary part on row t(o) for o < t(o).
         spec = HilbertSpec(2, 1)
-        _, e = hermitian_coordinates(spec)
+        _, e = map_matrices(spec)
         rng = np.random.default_rng(5)
         x = rng.normal(size=spec.dim**2) + 1j * rng.normal(size=spec.dim**2)
         labels = orbit_labels(spec)
@@ -363,17 +410,43 @@ class TestHermitianCoordinates:
 
     def test_cache_survives_an_edit_of_a_result(self):
         spec = HilbertSpec(2, 2)
-        w, e = hermitian_coordinates(spec)
-        want = [w.copy(), e.copy()]
-        for mat in (w, e):
+        maps = hermitian_coordinates(spec)
+        want = [arr.copy() for arr in maps]
+        for arr in maps:
             with pytest.raises(ValueError, match="read-only"):
-                mat.data *= 2.0
+                arr *= 2
             with pytest.raises(ValueError, match="read-only"):
-                mat.indices[:] = 0
+                arr[...] = 0
         hermitian_coordinates.cache_clear()
         for got, ref in zip(hermitian_coordinates(spec), want):
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+            assert np.array_equal(got, ref)
+
+
+class TestReducedParts:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n_modes=st.integers(1, 3),
+        cutoff=st.integers(1, 2),
+        delta=st.floats(-60.0, 60.0),
+        coupling=st.floats(0.0, 40.0),
+        probe=st.floats(0.0, 2.0),
+        drive=st.floats(0.0, 2.0),
+        phase=st.floats(-math.pi, math.pi),
+        decay=st.floats(0.05, 3.0),
+    )
+    @example(n_modes=3, cutoff=2, delta=34.6, coupling=20.0, probe=0.0104, drive=0.001,
+             phase=0.0096, decay=0.5)
+    def test_weighted_parts_match_sparse_reduction(
+        self, n_modes, cutoff, delta, coupling, probe, drive, phase, decay
+    ):
+        # The reduced parts weighted by p equal Re(E L W) of the generator
+        # written out term by term, with E and W from the orbit labels.
+        p = ModelParams(n_modes, delta, coupling, probe, drive, phase, decay, cutoff)
+        want = reduced_system(explicit_generator(p), p.hilbert_spec()).ravel()
+        lv = build_liouvillian(p)
+        got = np.zeros_like(want)
+        got[lv.parts.positions] = lv.weights @ lv.parts.reduced
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # (N, cutoff) of the full-space oracle runs: N = 2 and 3 take a dense LU
@@ -432,7 +505,7 @@ class TestSymmetricSectorOracle:
             m2 @ sm.conj().T + m2.conj().T @ sm
         )
         channels = [(o, p.decay) for o in build_dissipators(spec)]
-        lv = Liouvillian(liouvillian_matrix(h, channels), spec)
+        lv = liouvillian_matrix(h, channels, spec)
         validate(full_space_solve(lv))
         with pytest.raises(SteadyStateError, match="symmetric under mode exchange"):
             solve_steady_state(lv)
@@ -448,7 +521,7 @@ class TestSymmetricSectorOracle:
         for m in ladder_operators(spec)[1]:
             h = h + 1j * eps * (m + m.conj().T)
         channels = [(o, p.decay) for o in build_dissipators(spec)]
-        lv = Liouvillian(liouvillian_matrix(h, channels), spec)
+        lv = liouvillian_matrix(h, channels, spec)
         full = full_space_solve(lv).matrix
         assert np.max(np.abs(full - full.conj().T)) > eps
         with pytest.raises(SteadyStateError, match="preserves Hermiticity"):
