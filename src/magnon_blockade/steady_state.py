@@ -28,16 +28,15 @@ MAX_HILBERT_DIM = 500
 #: Residual bound for the direct solve, relative to the generator norm.
 RESIDUAL_RTOL = 1e-10
 
-#: Largest real system solve_steady_state factors densely; larger ones take sparse LU.
-DENSE_SOLVE_MAX_ROWS = 4096
-
 
 def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
 #: A generator's parameter-free parts and their reduction; see :func:`generator_parts`.
-GeneratorParts = namedtuple("GeneratorParts", "rows cols values positions reduced")
+GeneratorParts = namedtuple(
+    "GeneratorParts", "rows cols values positions reduced slots order width offsets"
+)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,23 @@ def _generator_parts(spec: HilbertSpec, parts: list[tuple]) -> GeneratorParts:
     positions, inverse = np.unique(targets[pair, entry], return_inverse=True)
     c = coefs[pair, entry]  # one part at a time keeps the build's memory peak low
     reduced = np.array([np.bincount(inverse, (c * v[entry]).real, positions.size) for v in values])
-    arrays = (rows, cols, values, positions, reduced)
+    # Coordinates in order of sector s = k_bra + k_ket (total excitations of
+    # row and column); row sector s meets column sectors s - 1 .. s + 2 in
+    # blocks stored row sector by row sector, 4 blocks each, from offsets.
+    exc = np.indices(spec.dims).reshape(len(spec.dims), d).sum(axis=0)
+    sector = np.empty(trace.size, dtype=np.intp)
+    sector[e_rows[0]] = np.add.outer(exc, exc).ravel()
+    order, width = np.argsort(sector, kind="stable"), np.r_[0, np.bincount(sector), 0, 0]
+    local = np.argsort(order) - np.cumsum(width[:-2])[sector]  # index within its sector
+    sizes = width[1:-2, None] * width[np.arange(width.size - 3)[:, None] + np.arange(4)]
+    offsets = np.cumsum(np.r_[0, sizes.ravel()])[:-1].reshape(sizes.shape)
+    i, j = np.divmod(positions, trace.size)
+    band = sector[j] - sector[i] + 1
+    inside = (band >= 0) & (band < 4)  # a slot past the blocks marks an entry outside
+    slots = offsets[-1, -1] + np.arange(positions.size)
+    i, j, band = i[inside], j[inside], band[inside]
+    slots[inside] = offsets[sector[i], band] + local[i] * width[sector[j] + 1] + local[j]
+    arrays = (rows, cols, values, positions, reduced, slots, order, width, offsets)
     for arr in arrays:
         arr.flags.writeable = False
     return GeneratorParts(*arrays)
@@ -100,7 +115,12 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
     :func:`hamiltonian_coefficients` and kappa, they sum to L.  values[k] is
     part k at the entries (rows, cols) of the D^2 x D^2 generator, from
     numpy Kronecker index arithmetic, and reduced[k] its Re(E L_k W) at the
-    flat indices positions of the m x m orbit system.  Read-only arrays.
+    flat indices positions of the m x m orbit system.  For the sector solve
+    of :func:`solve_steady_state`, order lists the coordinates by excitation
+    sector, width[s + 1] is sector s's size (zero-padded at both ends),
+    offsets[s] the starts of row sector s's four band blocks in one flat
+    buffer, and slots each position's index there; a position outside the
+    band gets its own slot past the blocks.  Read-only arrays.
     """
     unit_rate = (np.zeros((spec.dim, spec.dim)), [(o, 1.0) for o in build_dissipators(spec)])
     return _generator_parts(spec, [(h, []) for h in hamiltonian_parts(spec)] + [unit_rate])
@@ -172,46 +192,54 @@ def hermitian_coordinates(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
 
 
 def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
-    """Unique steady state via L vec(rho) = 0 with one row traded for trace = 1.
+    """Unique steady state of lv, solved sector by sector along the excitation hierarchy.
 
     The modes share every parameter and L preserves Hermiticity, so the
     unique steady state is a permutation-invariant Hermitian matrix, v = W y
-    for m real coordinates y (:func:`hermitian_coordinates`).  The solve
-    scatters lv's reduced parts at its weights into the real m x m system
-    Re(E L W) y = 0, its orbit-0 row traded for the trace row, with the
-    unknowns in orbit order: grouped into real and imaginary parts, partial
-    pivoting loses the tiny multi-excitation moments of a blockade dip.  Up
-    to DENSE_SOLVE_MAX_ROWS rows take numpy's dense LU; larger systems
-    scipy's sparse LU (imported there only) and one refinement step, which
-    keeps those moments from drowning in round-off.  Raises SteadyStateError
-    when the row-replaced system is singular (the steady state is not
-    unique) or the residual of v on the full generator exceeds
-    RESIDUAL_RTOL * ||L||, as for a generator that breaks mode exchange or
-    Hermiticity.
+    for m real coordinates y (:func:`hermitian_coordinates`), with
+    Re(E L W) y = 0.  H_0 keeps the total excitation number k, the drives
+    move it by one and a jump lowers bra and ket together, so in sectors
+    s = k_bra + k_ket that system couples y_s only to y_{s-1} .. y_{s+2}:
+    A[s, s-1] y_{s-1} + A[s, s] y_s + A[s, s+1] y_{s+1} + A[s, s+2] y_{s+2} = 0.
+    Sector 0 is the vacuum alone; its coordinate is pinned to 1 and its row,
+    the one the trace makes redundant, dropped.  A sweep down from the top
+    sector eliminates y_s = X_s y_{s-1} with
+    X_s = -M_s^-1 A[s, s-1], M_s = A[s, s] + (A[s, s+1] + A[s, s+2] X_{s+2}) X_{s+1},
+    a matrix continued fraction (Risken, The Fokker-Planck Equation, ch. 9);
+    a sweep up applies the X_s, and the trace row normalizes.  Each LU
+    factors one sector's block, so pivoting never trades the tiny
+    multi-excitation moments of a blockade dip against the vacuum's
+    coordinates, and every size runs on numpy alone.  Raises
+    SteadyStateError when an M_s is singular (the steady state is not
+    unique), when lv couples sectors outside that band, or when the residual
+    of v on the full generator exceeds RESIDUAL_RTOL * ||L||, as for a
+    generator that breaks mode exchange or Hermiticity.
     """
     parts, (w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
-    m, lead, body = trace.size, np.flatnonzero(trace), parts.positions >= trace.size
-    index = np.r_[lead, parts.positions[body]]  # the trace row in place of row 0
-    data = np.r_[trace[lead], (lv.weights @ parts.reduced)[body]]
-    rhs = np.eye(1, m)[0]
-    try:
-        if m <= DENSE_SOLVE_MAX_ROWS:
-            mat = np.zeros(m * m)
-            mat[index] = data
-            y = np.linalg.solve(mat.reshape(m, m), rhs)
-        else:
-            import scipy.sparse as sp
-            import scipy.sparse.linalg as spla
-
-            mat = sp.csc_matrix((data, np.divmod(index, m)), shape=(m, m))
-            lu = spla.splu(mat)
-            y = lu.solve(rhs)
-            y += lu.solve(rhs - mat @ y)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+    band = np.zeros(parts.offsets[-1, -1] + parts.slots.size)
+    band[parts.slots] = lv.weights @ parts.reduced
+    outside = np.count_nonzero(band[parts.offsets[-1, -1]:])
+    if outside:
         raise SteadyStateError(
-            f"non-unique steady state: row-replaced generator is singular ({exc})"
-        ) from exc
-    v = (w_coefs * y[w_cols]).sum(axis=0)
+            f"{outside} reduced entries lie outside the excitation-sector band: the solve "
+            "assumes row sector s = k_bra + k_ket couples only to sectors s - 1 .. s + 2"
+        )
+    n, top = parts.width.tolist(), parts.width.size - 4
+    x = {top + 1: np.zeros((0, n[top + 1])), top + 2: np.zeros((0, 0))}
+    for s, offsets in reversed(list(enumerate(parts.offsets.tolist()))[1:]):
+        a = [band[k : k + n[s + 1] * n[t]].reshape(n[s + 1], n[t])
+             for k, t in zip(offsets, range(s, s + 4))]
+        try:
+            x[s] = -np.linalg.solve(a[1] + (a[2] + a[3] @ x[s + 2]) @ x[s + 1], a[0])
+        except np.linalg.LinAlgError as exc:
+            raise SteadyStateError(
+                f"non-unique steady state: sector {s} of the generator is singular ({exc})"
+            ) from exc
+    y, ys = np.empty(trace.size), [np.ones(1)]
+    for s in range(1, top + 1):
+        ys.append(x[s] @ ys[-1])
+    y[parts.order] = np.concatenate(ys)
+    v = (w_coefs * (y / (trace @ y))[w_cols]).sum(axis=0)
 
     values = lv.weights @ parts.values
     l_norm = np.linalg.norm(values)
@@ -226,8 +254,7 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
             "that preserves Hermiticity"
         )
 
-    rho = unvectorize(v, lv.dim)
-    return DensityMatrix(rho / np.trace(rho).real, lv.spec)
+    return DensityMatrix(unvectorize(v, lv.dim), lv.spec)
 
 
 class TruncationError(RuntimeError):

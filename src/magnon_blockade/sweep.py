@@ -1,11 +1,8 @@
 """Parameter sweeps, optimum search, and scaling verification.
 
 A sweep evaluates its grid points one after another in one process; the
-LU factorization of each point's solve already uses every BLAS thread.
-The numeric g2 depends on the BLAS thread count, most near a dip: at N = 3,
-cutoff 2, J = 20, kappa = 0.5, drive 0.001 and theta = theta_general it
-differs by 7.2e-6 relative between 1 and 2 threads (1.5e-7 and 2.4e-7 at
-0.9 and 1.1 theta), so a 12-digit print can differ from its 6th digit.
+sector LUs of each point's solve already use every BLAS thread, and the
+numeric g2 does not depend on their count beyond round-off.
 """
 
 from __future__ import annotations

@@ -438,11 +438,12 @@ class TestPresetCommand:
             main(["preset", "fig9"])
 
 
-def fresh_interpreter(code: str) -> str:
-    """stdout of code run in a new interpreter that imports this package."""
+def fresh_interpreter(code: str, **environ: str) -> str:
+    """stdout of code run in a new interpreter that imports this package,
+    with the environment variables environ set."""
     src = str(Path(magnon_blockade.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env = {**os.environ, **environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     result = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=120,
@@ -462,16 +463,31 @@ class TestImportSurface:
         assert fresh_interpreter(code) == "[]"
 
     def test_dense_point_loads_no_sparse_scipy(self):
-        # Only the sparse branch (above DENSE_SOLVE_MAX_ROWS real rows) needs
-        # scipy; a dense-branch point (1300 rows here) runs on numpy alone.
+        # The sector solve runs on numpy alone at every size: a cutoff-32
+        # point (4356 rows) loads no scipy module at all.
         code = (
             "import sys, magnon_blockade\n"
-            "p = magnon_blockade.ModelParams(2, 28.0, 20.0, 0.0085, 0.001, 0.012, 0.5, 4)\n"
+            "p = magnon_blockade.ModelParams(1, 35.0, 35.0, 0.003, 0.001, 0.0077, 0.5, 32)\n"
             "value = magnon_blockade.sweep.numeric_g2(p)\n"
-            "print(value > 0, [name for name in ('scipy.sparse', 'scipy.linalg') "
-            "if name in sys.modules])"
+            "print(value > 0, [name for name in sys.modules if name.split('.')[0] == 'scipy'])"
         )
         assert fresh_interpreter(code) == "True []"
+
+    def test_dip_value_does_not_depend_on_blas_threads(self):
+        # At the n3-theta-optimum point g2 ~ 1e-11 is a tiny moment that
+        # pivoting across the whole system would mix with the vacuum's; the
+        # per-sector LUs keep it the same at 1 and 2 BLAS threads.
+        code = (
+            "import math, magnon_blockade as mb\n"
+            "theta = mb.optimal_conditions(3, 0.5 / 20.0).theta_general\n"
+            "p = mb.ModelParams(3, math.sqrt(3) * 20.0, 20.0, 3 * math.sqrt(3) * 0.001, "
+            "0.001, theta, 0.5, 2)\n"
+            "print(repr(mb.sweep.numeric_g2(p)))"
+        )
+        one, two = (float(fresh_interpreter(code, OPENBLAS_NUM_THREADS=threads))
+                    for threads in ("1", "2"))
+        assert 0 < one < 1e-10
+        assert two == pytest.approx(one, rel=1e-8, abs=0)
 
     def test_every_exported_name_resolves(self):
         missing = [name for name in magnon_blockade.__all__ if not hasattr(magnon_blockade, name)]

@@ -12,7 +12,6 @@ from magnon_blockade import steady_state
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
 from magnon_blockade.operators import DensityMatrix, HilbertSpec, ladder_operators
 from magnon_blockade.steady_state import (
-    DENSE_SOLVE_MAX_ROWS,
     MAX_HILBERT_DIM,
     N_MAX_START,
     TRUNCATION_RTOL,
@@ -67,11 +66,16 @@ def explicit_generator(p: ModelParams) -> sp.csr_matrix:
     return sparse_liouvillian(h, channels)
 
 
+#: Largest generator full_space_solve factors densely; larger ones take sparse LU.
+FULL_DENSE_MAX_ROWS = 4096
+
+
 def full_space_solve(lv: Liouvillian) -> DensityMatrix:
     """Reference solve on the whole generator: row 0 of L traded for trace = 1.
 
-    Same dense/sparse split as the solver, but over all D^2 rows and with no
-    use of the mode-permutation symmetry.
+    A dense LU up to FULL_DENSE_MAX_ROWS rows, above that a sparse LU and one
+    refinement step, over all D^2 rows and with no use of the
+    mode-permutation symmetry or the excitation sectors.
     """
     d = lv.dim
     n = d * d
@@ -79,7 +83,7 @@ def full_space_solve(lv: Liouvillian) -> DensityMatrix:
     mat = sp.vstack([trace_row, sparse_generator(lv)[1:]], format="csc")
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
-    if n <= DENSE_SOLVE_MAX_ROWS:
+    if n <= FULL_DENSE_MAX_ROWS:
         v = np.linalg.solve(mat.toarray(), rhs)
     else:
         lu = spla.splu(mat)
@@ -268,23 +272,24 @@ class TestSolveSteadyState:
             for j in range(2, n_modes + 1):
                 assert abs(mode_occupation(rho, 1) - mode_occupation(rho, j)) < 1e-10
 
-    def test_sparse_branch_resolves_blockade_dip(self):
-        # Cutoff 32 gives 66^2 = 4356 rows, past the dense branch.  Near the
-        # optimal phase the two-excitation moment is ~1e-19; an unrefined
-        # sparse solve returns it negative, which clips g2 to exactly 0.
+    def test_large_sector_solve_resolves_blockade_dip(self):
+        # Cutoff 32 gives 66^2 = 4356 rows in 67 excitation sectors.  Near
+        # the optimal phase the two-excitation moment is ~1e-19; a solve that
+        # lets it meet the vacuum's round-off returns it negative, which
+        # clips g2 to exactly 0.
         p = ModelParams(1, 35.0, 35.0, 0.003, 0.001, 0.0077, 0.5, fock_cutoff=32)
-        sparse = g2_zero_delay(solve_steady_state(build_liouvillian(p)))
-        dense = g2_zero_delay(
+        large = g2_zero_delay(solve_steady_state(build_liouvillian(p)))
+        small = g2_zero_delay(
             solve_steady_state(build_liouvillian(p.with_(fock_cutoff=4)))
         )
-        assert sparse > 0
-        assert abs(np.log10(sparse) - np.log10(dense)) < 1e-3
+        assert large > 0
+        assert abs(np.log10(large) - np.log10(small)) < 1e-3
 
     @pytest.mark.parametrize("spec", [HilbertSpec(0, 1), HilbertSpec(1, 32)])
     def test_non_unique_steady_state_raises(self, spec):
-        # Without dissipation every diagonal state is stationary; the
-        # row-replaced system is singular in both the dense (4 rows) and the
-        # sparse (4356 rows) branch.
+        # Without dissipation every diagonal state is stationary; the top
+        # sector's block is singular both for the qubit alone (4 rows) and
+        # at cutoff 32 (4356 rows in 67 sectors).
         lv = liouvillian_matrix(np.zeros((spec.dim, spec.dim)), [], spec)
         with pytest.raises(SteadyStateError, match="non-unique steady state"):
             solve_steady_state(lv)
@@ -450,8 +455,8 @@ class TestReducedParts:
 
 
 # (N, cutoff) of the full-space oracle runs: N = 2 and 3 take a dense LU
-# over up to 2500 and 2916 rows per example; N = 1 at cutoff 32 takes the
-# sparse branch.
+# over up to 2500 and 2916 rows per example; N = 1 at cutoff 32 takes
+# full_space_solve's sparse LU.
 ORACLE_SPACES = [(1, 2), (1, 4), (1, 32), (2, 2), (2, 3), (2, 4), (3, 2)]
 
 
@@ -508,6 +513,20 @@ class TestSymmetricSectorOracle:
         lv = liouvillian_matrix(h, channels, spec)
         validate(full_space_solve(lv))
         with pytest.raises(SteadyStateError, match="symmetric under mode exchange"):
+            solve_steady_state(lv)
+
+    def test_out_of_band_generator_fails_clearly(self):
+        # eps (sigma_+ m_1^dag + sigma_- m_1) moves the total excitation by
+        # two: the steady state exists and is unique, but the generator
+        # couples sectors s and s - 2, outside the band the solve eliminates.
+        p = fig2_params()
+        spec = p.hilbert_spec()
+        sm, (m1,) = ladder_operators(spec)
+        h = build_effective_hamiltonian(p) + 1e-3 * (sm.conj().T @ m1.conj().T + sm @ m1)
+        channels = [(o, p.decay) for o in build_dissipators(spec)]
+        lv = liouvillian_matrix(h, channels, spec)
+        validate(full_space_solve(lv))
+        with pytest.raises(SteadyStateError, match="excitation-sector band"):
             solve_steady_state(lv)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.1])
