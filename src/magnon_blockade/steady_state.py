@@ -22,7 +22,7 @@ from .model import ModelParams, build_dissipators, hamiltonian_coefficients, ham
 from .observables import g2_zero_delay
 from .operators import DensityMatrix, HilbertSpec
 
-#: Largest Hilbert dimension D for which a D^2 x D^2 generator is built.
+#: Largest Hilbert dimension D for which generator parts are built.
 MAX_HILBERT_DIM = 500
 
 #: Residual bound for the direct solve, relative to the generator norm.
@@ -33,29 +33,57 @@ def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-#: A generator's parameter-free parts and their reduction; see :func:`generator_parts`.
+class SteadyStateError(RuntimeError):
+    pass
+
+
+#: A generator's parameter-free parts, reduced; see :func:`generator_parts`.
 GeneratorParts = namedtuple(
-    "GeneratorParts", "rows cols values positions reduced slots order width offsets"
+    "GeneratorParts", "positions reduced slots order width offsets gram scale"
 )
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Generator sum_k weights[k] L_k on column-stacked density matrices of spec's space."""
+    """Generator sum_k weights[k] L_k of spec's cached parts (:func:`generator_parts`);
+    raises ValueError unless weights is one real, finite number per part."""
 
     spec: HilbertSpec
     parts: GeneratorParts
     weights: np.ndarray
+
+    def __post_init__(self):
+        w, k = np.asarray(self.weights), self.parts.gram.shape[0]
+        if w.dtype.kind not in "iuf" or w.shape != (k,) or not np.isfinite(w).all():
+            raise ValueError(f"weights must be {k} real, finite numbers, one per part: {w!r}")
 
     @property
     def dim(self) -> int:
         return self.spec.dim
 
 
-def _generator_parts(spec: HilbertSpec, parts: list[tuple]) -> GeneratorParts:
-    """The generators of (h, [(collapse operator, rate), ...]) parts, summed
-    on the union of their nonzero entries, and their reduction."""
+@functools.lru_cache(maxsize=32)
+def generator_parts(spec: HilbertSpec) -> GeneratorParts:
+    """The generator's parameter-free parts on spec's space, built once.
+
+    Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
+    unit-rate dissipator of :func:`build_dissipators`; weighted by
+    :func:`hamiltonian_coefficients` and kappa, they sum to L.  Each part is
+    built on the D^2 x D^2 entries (numpy Kronecker index arithmetic) and
+    kept only as reduced[k] = Re(E L_k W) at the flat indices positions of
+    the m x m orbit system where some part is nonzero.  gram[k, l] =
+    Re tr(L_k^dag L_l) gives ||L||_F^2 = w^T gram w.  Every part commutes
+    with mode exchange and preserves Hermiticity, so L W y = W z with
+    Re(E L W) y = |orbit| z and ||L W y||^2 = sum_q scale[q] (Re(E L W) y)_q^2
+    for scale[q] = ||W e_q||^2 / |orbit q|^2.  For :func:`solve_steady_state`,
+    order lists the coordinates by excitation sector, width[s + 1] is sector
+    s's size (zero-padded at both ends), offsets[s] the starts of row sector
+    s's four band blocks in one flat buffer, and slots each position's index
+    there; an entry outside that band raises SteadyStateError.  Read-only arrays.
+    """
     n, d, eye, keys, data, owner = spec.dim**2, spec.dim, np.eye(spec.dim), [], [], []
+    unit_rate = (np.zeros((d, d)), [(o, 1.0) for o in build_dissipators(spec)])
+    parts = [(h, []) for h in hamiltonian_parts(spec)] + [unit_rate]
     for k, (h, channels) in enumerate(parts):
         terms = [(-1j, eye, h), (1j, h.T, eye)]  # f kron(a, b), as in the module docstring
         for o, rate in channels:
@@ -71,6 +99,7 @@ def _generator_parts(spec: HilbertSpec, parts: list[tuple]) -> GeneratorParts:
     np.add.at(values, (np.concatenate(owner), inverse), np.concatenate(data))
     keep = np.any(values != 0, axis=0)
     (rows, cols), values = np.divmod(keys[keep], n), values[:, keep]
+    gram = np.array([[np.vdot(a, b).real for b in values] for a in values])
     # Entry (r, c) of L meets E in up to two rows and W in up to two columns.
     w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
     coefs = (e_coefs[:, None, rows] * w_coefs[None, :, cols]).reshape(4, -1)
@@ -79,6 +108,10 @@ def _generator_parts(spec: HilbertSpec, parts: list[tuple]) -> GeneratorParts:
     positions, inverse = np.unique(targets[pair, entry], return_inverse=True)
     c = coefs[pair, entry]  # one part at a time keeps the build's memory peak low
     reduced = np.array([np.bincount(inverse, (c * v[entry]).real, positions.size) for v in values])
+    keep = np.any(reduced != 0, axis=0)  # drops orbit sums that cancel in every part
+    positions, reduced = positions[keep], reduced[:, keep]
+    scale = np.bincount(w_cols.ravel(), np.abs(w_coefs.ravel()) ** 2, trace.size)
+    scale /= np.bincount(e_rows[0], minlength=trace.size) ** 2
     # Coordinates in order of sector s = k_bra + k_ket (total excitations of
     # row and column); row sector s meets column sectors s - 1 .. s + 2 in
     # blocks stored row sector by row sector, 4 blocks each, from offsets.
@@ -91,39 +124,16 @@ def _generator_parts(spec: HilbertSpec, parts: list[tuple]) -> GeneratorParts:
     offsets = np.cumsum(np.r_[0, sizes.ravel()])[:-1].reshape(sizes.shape)
     i, j = np.divmod(positions, trace.size)
     band = sector[j] - sector[i] + 1
-    inside = (band >= 0) & (band < 4)  # a slot past the blocks marks an entry outside
-    slots = offsets[-1, -1] + np.arange(positions.size)
-    i, j, band = i[inside], j[inside], band[inside]
-    slots[inside] = offsets[sector[i], band] + local[i] * width[sector[j] + 1] + local[j]
-    arrays = (rows, cols, values, positions, reduced, slots, order, width, offsets)
+    if np.any((band < 0) | (band > 3)):
+        raise SteadyStateError(
+            "a generator part lies outside the excitation-sector band: the solve assumes "
+            "row sector s = k_bra + k_ket couples only to sectors s - 1 .. s + 2"
+        )
+    slots = offsets[sector[i], band] + local[i] * width[sector[j] + 1] + local[j]
+    arrays = (positions, reduced, slots, order, width, offsets, gram, scale)
     for arr in arrays:
         arr.flags.writeable = False
     return GeneratorParts(*arrays)
-
-
-def liouvillian_matrix(h: np.ndarray, channels: list, spec: HilbertSpec) -> Liouvillian:
-    """Generator of h and (collapse operator, rate) pairs on spec's space: one part of weight 1."""
-    return Liouvillian(spec, _generator_parts(spec, [(h, channels)]), np.ones(1))
-
-
-@functools.lru_cache(maxsize=32)
-def generator_parts(spec: HilbertSpec) -> GeneratorParts:
-    """The generator's parameter-free parts on spec's space, built once.
-
-    Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
-    unit-rate dissipator of :func:`build_dissipators`; weighted by
-    :func:`hamiltonian_coefficients` and kappa, they sum to L.  values[k] is
-    part k at the entries (rows, cols) of the D^2 x D^2 generator, from
-    numpy Kronecker index arithmetic, and reduced[k] its Re(E L_k W) at the
-    flat indices positions of the m x m orbit system.  For the sector solve
-    of :func:`solve_steady_state`, order lists the coordinates by excitation
-    sector, width[s + 1] is sector s's size (zero-padded at both ends),
-    offsets[s] the starts of row sector s's four band blocks in one flat
-    buffer, and slots each position's index there; a position outside the
-    band gets its own slot past the blocks.  Read-only arrays.
-    """
-    unit_rate = (np.zeros((spec.dim, spec.dim)), [(o, 1.0) for o in build_dissipators(spec)])
-    return _generator_parts(spec, [(h, []) for h in hamiltonian_parts(spec)] + [unit_rate])
 
 
 def build_liouvillian(p: ModelParams) -> Liouvillian:
@@ -136,10 +146,6 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
         )
     weights = np.array([*hamiltonian_coefficients(p), p.decay])
     return Liouvillian(spec, generator_parts(spec), weights)
-
-
-class SteadyStateError(RuntimeError):
-    pass
 
 
 def orbit_labels(spec: HilbertSpec) -> np.ndarray:
@@ -211,19 +217,13 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     multi-excitation moments of a blockade dip against the vacuum's
     coordinates, and every size runs on numpy alone.  Raises
     SteadyStateError when an M_s is singular (the steady state is not
-    unique), when lv couples sectors outside that band, or when the residual
-    of v on the full generator exceeds RESIDUAL_RTOL * ||L||, as for a
-    generator that breaks mode exchange or Hermiticity.
+    unique) or when the residual ||L v||, taken in the orbit coordinates
+    (:func:`generator_parts`), exceeds RESIDUAL_RTOL * ||L||_F.
     """
     parts, (w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
-    band = np.zeros(parts.offsets[-1, -1] + parts.slots.size)
-    band[parts.slots] = lv.weights @ parts.reduced
-    outside = np.count_nonzero(band[parts.offsets[-1, -1]:])
-    if outside:
-        raise SteadyStateError(
-            f"{outside} reduced entries lie outside the excitation-sector band: the solve "
-            "assumes row sector s = k_bra + k_ket couples only to sectors s - 1 .. s + 2"
-        )
+    weighted = lv.weights @ parts.reduced
+    band = np.zeros(parts.offsets[-1, -1])
+    band[parts.slots] = weighted
     n, top = parts.width.tolist(), parts.width.size - 4
     x = {top + 1: np.zeros((0, n[top + 1])), top + 2: np.zeros((0, 0))}
     for s, offsets in reversed(list(enumerate(parts.offsets.tolist()))[1:]):
@@ -239,19 +239,16 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     for s in range(1, top + 1):
         ys.append(x[s] @ ys[-1])
     y[parts.order] = np.concatenate(ys)
-    v = (w_coefs * (y / (trace @ y))[w_cols]).sum(axis=0)
+    y /= trace @ y
+    v = (w_coefs * y[w_cols]).sum(axis=0)
 
-    values = lv.weights @ parts.values
-    l_norm = np.linalg.norm(values)
-    l_v = np.zeros_like(v)
-    np.add.at(l_v, parts.rows, values * v[parts.cols])
-    residual = np.linalg.norm(l_v)
+    rows, cols = np.divmod(parts.positions, trace.size)
+    residual = np.sqrt(parts.scale @ np.bincount(rows, weighted * y[cols], trace.size) ** 2)
+    l_norm = np.sqrt(lv.weights @ parts.gram @ lv.weights)
     if not residual <= RESIDUAL_RTOL * l_norm:  # also rejects a NaN residual
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}; "
-            "the solve assumes a generator symmetric under mode exchange "
-            "that preserves Hermiticity"
+            f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}"
         )
 
     return DensityMatrix(unvectorize(v, lv.dim), lv.spec)

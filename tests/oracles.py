@@ -1,15 +1,15 @@
 """Independent reference implementations that the tests check the engines against.
 
 None of these runs in a command or a sweep: density-matrix validity, the
-generator as a scipy sparse matrix (built from the operators, or converted
-from a :class:`Liouvillian`), the sparse W and E of the Hermitian orbit
-coordinates and the reduced system Re(E L W), the generator's trace
-preservation, time evolution as the check of the direct solve, the paper's
-closed-form probabilities as the check of the amplitude solve, the
-one-excitation spectrum, the reduced state of one subsystem and a per-mode
-occupation for states that need not be mode-symmetric, the dense
-Hamiltonian of one point, and the bright-mode map that reduces N modes to
-one.
+generator as a scipy sparse matrix (built from the operators, given
+outright or at a :class:`Liouvillian`'s weights), the sparse W and E of
+the Hermitian orbit coordinates and the reduced system Re(E L W), the
+generator's trace preservation, time evolution as the check of the direct
+solve, the paper's closed-form probabilities as the check of the amplitude
+solve, the one-excitation spectrum, the reduced state of one subsystem and
+a per-mode occupation for states that need not be mode-symmetric, the
+dense Hamiltonian of one point, and the bright-mode map that reduces N
+modes to one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from scipy.integrate import solve_ivp
 from scipy.special import binom
 
 from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
-from magnon_blockade.model import ModelParams, hamiltonian_coefficients, hamiltonian_parts
+from magnon_blockade.model import (
+    ModelParams,
+    build_dissipators,
+    hamiltonian_coefficients,
+    hamiltonian_parts,
+)
 from magnon_blockade.operators import DensityMatrix, HilbertSpec
 from magnon_blockade.steady_state import (
     Liouvillian,
@@ -90,10 +95,11 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 
 def sparse_generator(lv: Liouvillian) -> sp.csr_matrix:
-    """lv's full D^2 x D^2 generator: its parts summed at its weights."""
-    n = lv.dim**2
-    values = lv.weights @ lv.parts.values
-    return sp.csr_matrix((values, (lv.parts.rows, lv.parts.cols)), shape=(n, n))
+    """lv's full D^2 x D^2 generator, assembled by :func:`sparse_liouvillian`
+    from the model's operators at lv's weights; lv's cached parts are not read."""
+    *coefficients, decay = lv.weights
+    h = sum(c * part for c, part in zip(coefficients, hamiltonian_parts(lv.spec)))
+    return sparse_liouvillian(h, [(o, decay) for o in build_dissipators(lv.spec)])
 
 
 def sparse_liouvillian(

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magnon_blockade.model import ModelParams, build_dissipators
+from magnon_blockade.model import ModelParams, build_dissipators, hamiltonian_parts
 from magnon_blockade import steady_state
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
 from magnon_blockade.operators import DensityMatrix, HilbertSpec, ladder_operators
@@ -22,13 +22,11 @@ from magnon_blockade.steady_state import (
     converge_truncation,
     generator_parts,
     hermitian_coordinates,
-    liouvillian_matrix,
     orbit_labels,
     solve_steady_state,
     unvectorize,
 )
 from oracles import (
-    build_effective_hamiltonian,
     coordinate_matrices,
     evolve_to_steady_state,
     mode_occupation,
@@ -40,10 +38,6 @@ from oracles import (
     validate,
     vectorize,
 )
-
-
-#: The qubit alone: D = 2.
-QUBIT = HilbertSpec(0, 1)
 
 
 def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
@@ -106,14 +100,14 @@ class TestVectorization:
 
 class TestLiouvillianMatrix:
     def test_free_evolution_is_zero(self):
-        lv = sparse_generator(liouvillian_matrix(np.zeros((4, 4)), [], HilbertSpec(1, 1)))
+        lv = sparse_liouvillian(np.zeros((4, 4)), [])
         assert lv.nnz == 0
 
     def test_qubit_decay_action(self):
         # kappa/2 two-sided convention: an excited population decays at kappa.
         sm = np.array([[0, 1], [0, 0]], dtype=complex)
         kappa = 0.7
-        lv = sparse_generator(liouvillian_matrix(np.zeros((2, 2)), [(sm, kappa)], QUBIT))
+        lv = sparse_liouvillian(np.zeros((2, 2)), [(sm, kappa)])
         rho_e = np.diag([0.0, 1.0]).astype(complex)
         drho = unvectorize(lv @ vectorize(rho_e), 2)
         expected = kappa * (np.diag([1.0, -1.0]).astype(complex))
@@ -122,7 +116,7 @@ class TestLiouvillianMatrix:
     def test_coherence_decays_at_half_rate(self):
         sm = np.array([[0, 1], [0, 0]], dtype=complex)
         kappa = 0.7
-        lv = sparse_generator(liouvillian_matrix(np.zeros((2, 2)), [(sm, kappa)], QUBIT))
+        lv = sparse_liouvillian(np.zeros((2, 2)), [(sm, kappa)])
         coherence = np.array([[0, 1], [0, 0]], dtype=complex)
         drho = unvectorize(lv @ vectorize(coherence), 2)
         assert np.allclose(drho, -0.5 * kappa * coherence)
@@ -136,7 +130,7 @@ class TestLiouvillianMatrix:
         h = rng.normal(size=(4, 4))
         h = (h + h.T).astype(complex)
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lv = sparse_generator(liouvillian_matrix(h, [], HilbertSpec(1, 1)))
+        lv = sparse_liouvillian(h, [])
         drho = unvectorize(lv @ vectorize(rho), 4)
         assert np.allclose(drho, -1j * (h @ rho - rho @ h))
 
@@ -184,21 +178,37 @@ class TestBuildLiouvillian:
         p = ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)
         q = p.with_(delta=31.0, coupling=17.0, probe_rabi=0.4, phase=-1.2, decay=0.9)
         build_liouvillian(p)
-        after_p = sparse_generator(build_liouvillian(q))
+        after_p = build_liouvillian(q)
         generator_parts.cache_clear()
-        fresh = sparse_generator(build_liouvillian(q))
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(after_p, attr), getattr(fresh, attr))
+        fresh = build_liouvillian(q)
+        assert np.array_equal(after_p.weights, fresh.weights)
+        for got, want in zip(after_p.parts, fresh.parts):
+            assert np.array_equal(got, want)
 
     def test_editing_a_result_leaves_the_cache_alone(self):
         p = ModelParams(2, 28.0, 20.0, 0.2, 0.05, 0.01, 0.5, 2)
-        first = sparse_generator(build_liouvillian(p))
-        want = first.copy()
-        first.data *= 2.0
-        first.indices[:] = 0
-        again = sparse_generator(build_liouvillian(p))
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(again, attr), getattr(want, attr))
+        first = build_liouvillian(p)
+        want = first.weights.copy()
+        first.weights[...] = 0.0
+        again = build_liouvillian(p)
+        assert np.array_equal(again.weights, want)
+        assert again.parts is first.parts
+
+    @pytest.mark.parametrize(
+        "weights", [[0.0, 1.0, 0.2, 0.05j, 0.1, 0.5], [0.0, 1.0, 0.2, 0.1, 0.5]]
+    )
+    def test_rejects_weights_that_are_not_one_real_per_part(self, weights):
+        # A complex weight (here on Omega_q sin theta) would make a generator
+        # that breaks Hermiticity, which the reduced residual cannot see.
+        spec = HilbertSpec(1, 2)
+        with pytest.raises(ValueError, match="weights"):
+            Liouvillian(spec, generator_parts(spec), np.array(weights))
+
+    def test_cached_parts_stay_small(self):
+        # Only the reduced parts are cached: 4.1 MB here, against 40.7 MB
+        # with the D^2 x D^2 generator's entries kept as well.
+        parts = generator_parts(HilbertSpec(3, 3))
+        assert sum(arr.nbytes for arr in parts) < 10e6
 
     def test_cached_parts_are_read_only(self):
         # Every generator of a space shares its parts, so none may edit them.
@@ -290,7 +300,7 @@ class TestSolveSteadyState:
         # Without dissipation every diagonal state is stationary; the top
         # sector's block is singular both for the qubit alone (4 rows) and
         # at cutoff 32 (4356 rows in 67 sectors).
-        lv = liouvillian_matrix(np.zeros((spec.dim, spec.dim)), [], spec)
+        lv = Liouvillian(spec, generator_parts(spec), np.zeros(6))
         with pytest.raises(SteadyStateError, match="non-unique steady state"):
             solve_steady_state(lv)
 
@@ -328,14 +338,6 @@ class TestPermutationOrbits:
         assert orbit(g10, g01) == orbit(g01, g10)
         assert orbit(g10, g10) == orbit(g01, g01)
         assert orbit(g10, g10) != orbit(g10, g01)
-
-
-def swap_first_modes(rho: np.ndarray, spec: HilbertSpec) -> np.ndarray:
-    """rho with modes 1 and 2 exchanged."""
-    axes = list(range(2 * len(spec.dims)))
-    for offset in (0, len(spec.dims)):
-        axes[offset + 1], axes[offset + 2] = axes[offset + 2], axes[offset + 1]
-    return rho.reshape(spec.dims * 2).transpose(axes).reshape(rho.shape)
 
 
 def transpose_partners(spec: HilbertSpec) -> np.ndarray:
@@ -396,7 +398,7 @@ class TestHermitianCoordinates:
         rho = unvectorize(w @ y, spec.dim)
         assert np.array_equal(rho, rho.conj().T)
         if n_modes > 1:
-            assert np.array_equal(swap_first_modes(rho, spec), rho)
+            assert np.array_equal(permute_modes(rho, spec, (1, 0, *range(2, n_modes))), rho)
 
     def test_equations_are_real_and_imaginary_orbit_sums(self):
         # Row o of Re(E X) is the real part of the orbit-o sum of X for
@@ -500,51 +502,93 @@ class TestSymmetricSectorOracle:
         assert got.p1 == pytest.approx(want.p1, rel=rel)
         assert got.occupation == pytest.approx(want.occupation, rel=rel)
 
-    def test_asymmetric_generator_fails_clearly(self):
-        # Couplings 20 and 15: the steady state exists and is unique, but it
-        # is not mode-symmetric, so the symmetric-sector solve misses it.
-        p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 3)
-        spec = p.hilbert_spec()
-        sm, (_, m2) = ladder_operators(spec)
-        h = build_effective_hamiltonian(p) - 5.0 * (
-            m2 @ sm.conj().T + m2.conj().T @ sm
-        )
-        channels = [(o, p.decay) for o in build_dissipators(spec)]
-        lv = liouvillian_matrix(h, channels, spec)
-        validate(full_space_solve(lv))
-        with pytest.raises(SteadyStateError, match="symmetric under mode exchange"):
-            solve_steady_state(lv)
-
-    def test_out_of_band_generator_fails_clearly(self):
+    def test_out_of_band_generator_fails_clearly(self, monkeypatch):
         # eps (sigma_+ m_1^dag + sigma_- m_1) moves the total excitation by
-        # two: the steady state exists and is unique, but the generator
-        # couples sectors s and s - 2, outside the band the solve eliminates.
-        p = fig2_params()
-        spec = p.hilbert_spec()
-        sm, (m1,) = ladder_operators(spec)
-        h = build_effective_hamiltonian(p) + 1e-3 * (sm.conj().T @ m1.conj().T + sm @ m1)
-        channels = [(o, p.decay) for o in build_dissipators(spec)]
-        lv = liouvillian_matrix(h, channels, spec)
-        validate(full_space_solve(lv))
-        with pytest.raises(SteadyStateError, match="excitation-sector band"):
-            solve_steady_state(lv)
+        # two, so the parts couple sectors s and s - 2, outside the band the
+        # solve eliminates; the build rejects them before any point is solved.
+        def with_pair_term(spec):
+            sm, (m1, *_) = ladder_operators(spec)
+            number, *rest = hamiltonian_parts(spec)
+            return [number + 1e-3 * (sm.conj().T @ m1.conj().T + sm @ m1), *rest]
 
-    @pytest.mark.parametrize("eps", [1e-3, 0.1])
-    def test_hermiticity_breaking_generator_fails_clearly(self, eps):
-        # H + i eps sum_j (m_j + m_j^dag) keeps the trace and the mode
-        # symmetry, but its steady state is not Hermitian, so the solve over
-        # Hermitian coordinates misses it.
-        p = ModelParams(2, 20.0 * math.sqrt(2), 20.0, 0.15 * math.sqrt(2), 0.05, 0.0, 0.5, 2)
-        spec = p.hilbert_spec()
-        h = build_effective_hamiltonian(p)
-        for m in ladder_operators(spec)[1]:
-            h = h + 1j * eps * (m + m.conj().T)
-        channels = [(o, p.decay) for o in build_dissipators(spec)]
-        lv = liouvillian_matrix(h, channels, spec)
-        full = full_space_solve(lv).matrix
-        assert np.max(np.abs(full - full.conj().T)) > eps
-        with pytest.raises(SteadyStateError, match="preserves Hermiticity"):
-            solve_steady_state(lv)
+        monkeypatch.setattr(steady_state, "hamiltonian_parts", with_pair_term)
+        with pytest.raises(SteadyStateError, match="excitation-sector band"):
+            generator_parts.__wrapped__(fig2_params().hilbert_spec())
+
+
+def permute_modes(rho: np.ndarray, spec: HilbertSpec, perm: tuple[int, ...]) -> np.ndarray:
+    """rho with mode j moved to mode perm[j] (modes counted from 0)."""
+    axes = list(range(2 * len(spec.dims)))
+    for offset in (0, len(spec.dims)):
+        for j, k in enumerate(perm):
+            axes[offset + 1 + k] = offset + 1 + j
+    return rho.reshape(spec.dims * 2).transpose(axes).reshape(rho.shape)
+
+
+def model_parts(spec: HilbertSpec) -> list[sp.csr_matrix]:
+    """The six generator parts of spec's space, assembled by the scipy oracle."""
+    zero = np.zeros((spec.dim, spec.dim))
+    return [sparse_liouvillian(h, []) for h in hamiltonian_parts(spec)] + [
+        sparse_liouvillian(zero, [(o, 1.0) for o in build_dissipators(spec)])
+    ]
+
+
+class TestReducedResidual:
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(n_modes=st.integers(1, 3), cutoff=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_parts_keep_mode_exchange_and_hermiticity(self, n_modes, cutoff, seed):
+        # The reduced residual is exact only because every part maps X^dag
+        # to L(X)^dag and a mode permutation of X to that of L(X).
+        spec = HilbertSpec(n_modes, cutoff)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(spec.dim,) * 2) + 1j * rng.normal(size=(spec.dim,) * 2)
+        perms = [(1, 0, *range(2, n_modes)), (*range(1, n_modes), 0)] if n_modes > 1 else []
+        for part in model_parts(spec):
+            scale = abs(part).max()
+
+            def apply(rho):
+                return unvectorize(part @ vectorize(rho), spec.dim)
+
+            lx = apply(x)
+            assert np.abs(apply(x.conj().T) - lx.conj().T).max() <= 1e-14 * scale
+            for q in perms:
+                defect = apply(permute_modes(x, spec, q)) - permute_modes(lx, spec, q)
+                assert np.abs(defect).max() <= 1e-14 * scale
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        n_modes=st.integers(1, 3),
+        cutoff=st.integers(1, 3),
+        delta=st.floats(-60.0, 60.0),
+        coupling=st.floats(0.0, 40.0),
+        probe=st.floats(0.0, 2.0),
+        drive=st.floats(0.0, 2.0),
+        phase=st.floats(-math.pi, math.pi),
+        decay=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reduced_residual_is_the_full_residual(
+        self, n_modes, cutoff, delta, coupling, probe, drive, phase, decay, seed
+    ):
+        # sum_q scale[q] (Re(E L W) y)_q^2 = ||L W y||^2 at any real y, and
+        # w^T gram w = ||L||_F^2, with L and W from the scipy oracles.
+        p = ModelParams(n_modes, delta, coupling, probe, drive, phase, decay, cutoff)
+        lv = build_liouvillian(p)
+        mat, (w, _) = sparse_generator(lv), coordinate_matrices(p.hilbert_spec())
+        y = np.random.default_rng(seed).normal(size=w.shape[1])
+        rows, cols = np.divmod(lv.parts.positions, y.size)
+        ly = np.bincount(rows, (lv.weights @ lv.parts.reduced) * y[cols], y.size)
+        want = np.linalg.norm(mat @ (w @ y))
+        assert np.sqrt(lv.parts.scale @ ly**2) == pytest.approx(want, rel=1e-12)
+        norm = np.sqrt(lv.weights @ lv.parts.gram @ lv.weights)
+        assert norm == pytest.approx(spla.norm(mat), rel=1e-12)
+
+    def test_residual_gate_names_the_bound(self, monkeypatch):
+        # No generator the package builds trips the gate, so a zero bound
+        # stands in for a solve whose residual has grown.
+        monkeypatch.setattr(steady_state, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(SteadyStateError, match=r"residual .* exceeds 0\.0e\+00 \* \|\|L\|\|"):
+            solve_steady_state(build_liouvillian(fig2_params()))
 
 
 class TestTraceDistance:
