@@ -9,10 +9,9 @@ amplitude is 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import ModelParams
 
@@ -59,12 +58,19 @@ class AmplitudeSet:
 
 
 def complex_detuning(p: ModelParams) -> complex:
-    return p.delta - 0.5j * p.decay
+    return complex(p.delta, -0.5 * p.decay)
 
 
 def _check_denominator(value: complex, scale: float, name: str):
+    _check_finite(f"{name} denominator", value)
     if abs(value) <= SINGULAR_RTOL * max(scale, 1e-300):
         raise ResonanceError(f"singular denominator at the {name} resonance")
+
+
+def _check_finite(name: str, value: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} is not finite ({value}): the ansatz overflows")
+    return value
 
 
 def amplitudes_for(p: ModelParams) -> AmplitudeSet:
@@ -77,48 +83,40 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     dropped, which is the paper's general-N weak-drive form.
     weak_drive_certified records whether the hierarchy
     |c_g1| >> |c_e1|, |c_g11|, |c_g12| actually holds.
+
+    The block lower-triangular equations are eliminated in closed form: with
+    dt = Delta - i kappa / 2 and x = 1 at N = 2 (else 0), only
+    s = dt^2 - N J^2 and p = 2 dt^2 - (1 + x) J^2 divide (the determinant
+    is 4 dt s p, or 2 s p without c_g12).  Raises ResonanceError when s or p
+    vanishes relative to max(|dt|^2, N J^2), and ValueError naming a
+    denominator or |c|^2 that is not finite.
     """
     n = p.n_modes
-    j = p.coupling
+    j, om = float(p.coupling), float(p.drive_rabi)
     dt = complex_detuning(p)
-    oq = p.probe_rabi * np.exp(-1j * p.phase)
-    om = p.drive_rabi
-    s2 = math.sqrt(2)
+    oq = cmath.rect(p.probe_rabi, -p.phase)
     # Keeping c_g12 at N >= 3 would change the N >= 3 outputs that
     # perfbench/reference.json pins, so the general-N form stays there.
     cross = n == 2
-    scale = max(abs(dt) ** 2, n * j**2)
-    _check_denominator(dt**2 - n * j**2, scale, "single-excitation")
-    pair_coupling = 2 * j**2 if cross else j**2
-    _check_denominator(2 * dt**2 - pair_coupling, scale, "two-excitation")
-    # Unknowns: (c_e0, c_g1, c_e1, c_g11, c_g12), symmetric in the modes.
-    size = 5 if cross else 4
-    mat = np.array(
-        [
-            dt, n * j, 0, 0, 0,
-            j, dt, 0, 0, 0,
-            om, oq, 2 * dt, s2 * j, (n - 1) * j,
-            0, s2 * om, s2 * j, 2 * dt, 0,
-            0, 2 * om, 2 * j, 0, 2 * dt,
-        ],
-        dtype=complex,
-    ).reshape(5, 5)[:size, :size]
-    rhs = np.array([-oq, -om, 0, 0, 0][:size], dtype=complex)
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"ansatz linear system is singular: {exc}") from exc
-    c_e0, c_g1, c_e1, c_g11 = sol[:4]
-    c_g12 = sol[4] if cross else 0.0 + 0.0j
-    certified = abs(c_g1) > 10 * max(abs(c_e1), abs(c_g11), abs(c_g12))
-    return AmplitudeSet(
-        c_e0=c_e0,
-        c_g1=c_g1,
-        c_e1=c_e1,
-        c_g11=c_g11,
-        c_g12=c_g12,
-        weak_drive_certified=certified,
-    )
+    jj, dt2 = j * j, dt * dt
+    s = dt2 - n * jj
+    pair = 2 * dt2 - (2 * jj if cross else jj)
+    scale = max(abs(dt) * abs(dt), n * jj)
+    _check_denominator(s, scale, "single-excitation")
+    _check_denominator(pair, scale, "two-excitation")
+    c_e0 = (n * j * om - dt * oq) / s
+    c_g1 = (j * oq - dt * om) / s
+    source = om * c_e0 + oq * c_g1
+    c_e1 = ((2 * j if cross else j) * om * c_g1 - dt * source) / pair
+    u = (2 * dt * om * c_g1 - j * source) / pair  # (om c_g1 + j c_e1) / dt
+    c_g11 = -u / math.sqrt(2)
+    c_g12 = -u if cross else 0j
+    m_e0, m_g1, m_e1, m_g11, m_g12 = moduli = tuple(map(abs, (c_e0, c_g1, c_e1, c_g11, c_g12)))
+    if not math.isfinite(m_e0 * m_e0 + m_g1 * m_g1 + m_e1 * m_e1 + m_g11 * m_g11 + m_g12 * m_g12):
+        for name, m in zip(("c_e0", "c_g1", "c_e1", "c_g11", "c_g12"), moduli):
+            _check_finite(f"|{name}|^2", m * m)
+    certified = m_g1 > 10 * max(m_e1, m_g11, m_g12)
+    return AmplitudeSet(c_e0, c_g1, c_e1, c_g11, c_g12, certified)
 
 
 def g2_analytic(amps: AmplitudeSet) -> float:
@@ -128,7 +126,8 @@ def g2_analytic(amps: AmplitudeSet) -> float:
     if p_g1 == 0:
         raise ZeroDivisionError("vanishing single-excitation amplitude")
     numerator = 2 * amps.p_g11
-    return numerator / (p_g1 + amps.p_e1 + amps.p_g12 + numerator) ** 2
+    norm = p_g1 + amps.p_e1 + amps.p_g12 + numerator
+    return numerator / _check_finite("squared norm of the ansatz", norm * norm)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ generator as a scipy sparse matrix (built from the operators, given
 outright or at a :class:`Liouvillian`'s weights), the sparse W and E of
 the Hermitian orbit coordinates and the reduced system Re(E L W), the
 generator's trace preservation, time evolution as the check of the direct
-solve, the paper's closed-form probabilities as the check of the amplitude
-solve, the one-excitation spectrum, the reduced state of one subsystem and
+solve, the two-excitation ansatz as a linear system and the paper's
+closed-form probabilities as the checks of the closed-form amplitudes, the
+one-excitation spectrum, the reduced state of one subsystem and
 a per-mode occupation for states that need not be mode-symmetric, the
 dense Hamiltonian of one point, and the bright-mode map that reduces N
 modes to one.
@@ -211,6 +212,32 @@ def evolve_to_steady_state(p: ModelParams, rho0: DensityMatrix) -> DensityMatrix
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho)
     return DensityMatrix(rho, spec)
+
+
+def ansatz_system(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The steady equations of the symmetric two-excitation ansatz as
+    (matrix, rhs) in the unknowns (c_e0, c_g1, c_e1, c_g11, c_g12).
+
+    5 x 5 at N = 2; 4 x 4 without the cross amplitude otherwise, as in
+    :func:`magnon_blockade.analytic.amplitudes_for`.
+    """
+    n, j, om = p.n_modes, p.coupling, p.drive_rabi
+    dt = complex_detuning(p)
+    oq = p.probe_rabi * np.exp(-1j * p.phase)
+    s2 = math.sqrt(2)
+    size = 5 if n == 2 else 4
+    mat = np.array(
+        [
+            dt, n * j, 0, 0, 0,
+            j, dt, 0, 0, 0,
+            om, oq, 2 * dt, s2 * j, (n - 1) * j,
+            0, s2 * om, s2 * j, 2 * dt, 0,
+            0, 2 * om, 2 * j, 0, 2 * dt,
+        ],
+        dtype=complex,
+    ).reshape(5, 5)[:size, :size]
+    rhs = np.array([-oq, -om, 0, 0, 0][:size], dtype=complex)
+    return mat, rhs
 
 
 @dataclass(frozen=True)

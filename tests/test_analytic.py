@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magnon_blockade.analytic import (
+    SINGULAR_RTOL,
     ResonanceError,
     amplitudes_for,
     complex_detuning,
@@ -12,7 +15,7 @@ from magnon_blockade.analytic import (
     theta_optimal_exact,
 )
 from magnon_blockade.model import ModelParams
-from oracles import closed_form_probabilities, intermediates
+from oracles import ansatz_system, closed_form_probabilities, intermediates
 
 
 def random_params(rng, n_modes):
@@ -58,6 +61,46 @@ def paper_general_n_amplitudes(p):
     )
     c_e1 = -(math.sqrt(2) * j * c_g11 + oq * c_g1 + om * c_e0) / (2 * dt)
     return c_g1, c_e0, c_g11, c_e1
+
+
+def amplitude_vector(amps, size):
+    return np.array([amps.c_e0, amps.c_g1, amps.c_e1, amps.c_g11, amps.c_g12][:size])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_modes=st.integers(1, 4),
+    coupling=st.floats(5.0, 40.0),
+    r=st.floats(0.01, 2.0),
+    drive=st.floats(1e-4, 0.3),
+    near_dip=st.booleans(),
+    detuning_over_j=st.floats(-3.0, 3.0),
+    probe_over_drive=st.floats(0.0, 10.0),
+    phase=st.floats(-math.pi, math.pi),
+)
+@example(n_modes=1, coupling=35.0, r=1 / 70, drive=0.001, near_dip=True,
+         detuning_over_j=0.0, probe_over_drive=0.0, phase=0.0)
+@example(n_modes=2, coupling=20.0, r=0.025, drive=0.1, near_dip=True,
+         detuning_over_j=0.0, probe_over_drive=0.0, phase=0.0)
+def test_closed_form_solves_the_ansatz_system(
+    n_modes, coupling, r, drive, near_dip, detuning_over_j, probe_over_drive, phase
+):
+    # The closed form against the linear system it eliminates: every row holds
+    # to 1e-12 of that row's scale, and LAPACK's solve agrees to 1e-12.  Near
+    # the dip (the paper's ratios, the phase within 5% of the optimum) c_g11
+    # comes from a cancellation.
+    if near_dip:
+        cond = optimal_conditions(n_modes, r)
+        detuning_over_j, probe_over_drive = cond.delta_over_j, cond.probe_over_drive
+        phase = cond.theta_exact * (1 + phase / (20 * math.pi))
+    p = ModelParams(n_modes, detuning_over_j * coupling, coupling, probe_over_drive * drive,
+                    drive, phase, r * coupling)
+    mat, rhs = ansatz_system(p)
+    c = amplitude_vector(amplitudes_for(p), len(rhs))
+    row_scale = np.abs(mat) @ np.abs(c) + np.abs(rhs)
+    assert np.all(np.abs(mat @ c - rhs) <= 1e-12 * row_scale)
+    solved = np.linalg.solve(mat, rhs)
+    assert np.linalg.norm(c - solved) <= 1e-12 * np.linalg.norm(solved)
 
 
 class TestLinearSolveVsClosedForms:
@@ -145,6 +188,15 @@ class TestG2Ratio:
         with pytest.raises(ZeroDivisionError):
             g2_analytic(amplitudes_for(p))
 
+    def test_results_are_builtin_floats(self):
+        # Parameters taken from numpy arrays still give builtin numbers.
+        coupling, decay, drive, theta = np.array([20.0, 0.5, 0.01, 0.005])
+        for n in (1, 2, 3):
+            p = optimal_params(n, coupling, decay, drive, theta)
+            amps = amplitudes_for(p)
+            assert type(amps.p_g1) is float and type(amps.c_g1) is complex
+            assert type(g2_analytic(amps)) is float
+
     def test_dispatch_by_mode_count(self):
         # The cross amplitude exists only in the two-mode solve.
         rng = np.random.default_rng(25)
@@ -166,6 +218,41 @@ class TestResonances:
             p = ModelParams(n, delta, 20.0, 0.3, 0.1, 0.0, 1e-300)
             with pytest.raises(ResonanceError, match="two-excitation"):
                 amplitudes_for(p)
+
+    def test_finite_just_outside_either_resonance(self):
+        # Each real denominator (kappa -> 0) set to +-2 SINGULAR_RTOL of the
+        # scale max(|dt|^2, N J^2) that the resonance check compares it with.
+        j, rho = 20.0, 2 * SINGULAR_RTOL
+        for n in (1, 2, 3):
+            pair = 2 if n == 2 else 1
+            for sign in (1, -1):
+                single = n * j**2 * (1 + sign * rho)
+                double = (pair * j**2 + sign * rho * n * j**2) / 2
+                for delta_sq in (single, double):
+                    p = ModelParams(n, math.sqrt(delta_sq), j, 0.3, 0.1, 0.0, 1e-300)
+                    amps = amplitudes_for(p)
+                    assert all(
+                        math.isfinite(abs(c))
+                        for c in (amps.c_e0, amps.c_g1, amps.c_e1, amps.c_g11, amps.c_g12)
+                    )
+                    assert math.isfinite(g2_analytic(amps))
+
+    def test_non_finite_amplitudes_rejected(self):
+        # The drives overflow |c_e0|^2 at N = 2; the detuning and the
+        # coupling overflow the single-excitation denominator dt^2 - N J^2.
+        for p, quantity in (
+            (ModelParams(2, 20.0, 20.0, 1e300, 1e300, 0.01, 0.5), r"\|c_e0\|\^2"),
+            (ModelParams(1, 1e160, 1e160, 0.3, 0.1, 0.0, 0.5), "single-excitation denominator"),
+        ):
+            with pytest.raises(ValueError, match=f"^{quantity}.* is not finite"):
+                amplitudes_for(p)
+
+    def test_overflowing_norm_rejected(self):
+        # Every |c|^2 is finite, but the squared norm of the ansatz is not.
+        amps = amplitudes_for(ModelParams(1, 35.0, 35.0, 1e70, 1e70, 0.0, 0.5))
+        assert math.isfinite(amps.p_g11)
+        with pytest.raises(ValueError, match="squared norm of the ansatz is not finite"):
+            g2_analytic(amps)
 
     def test_closed_form_rejects_three_modes(self):
         p = optimal_params(3, 20.0, 0.5, 0.001, theta=0.005)

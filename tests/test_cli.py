@@ -319,6 +319,20 @@ class TestOptimizeCommand:
         assert main(args) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    def test_analytic_overflow_exit_1(self, capsys):
+        args = [
+            "optimize", *BASE_FLAGS, "--n-modes", "2",
+            "--probe-rabi", "1e300", "--drive-rabi", "1e300",
+            "--axis", "theta",
+            "--bracket-lo", "0.001",
+            "--bracket-hi", "0.02",
+            "--engine", "analytic",
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: |c_e0|^2 is not finite (inf): the ansatz overflows\n"
+        )
+
     def test_bracket_out_of_range_exit_1_before_any_solve(self, capsys, monkeypatch):
         solves = []
         monkeypatch.setattr(sweep, "numeric_g2", lambda p: solves.append(p) or 1.0)

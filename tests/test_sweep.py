@@ -170,6 +170,17 @@ class TestRunSweep:
         assert records[1].error is None
         assert records[1].g2_numeric > 0
 
+    def test_non_finite_analytic_row_names_the_quantity(self):
+        # Drives of 1e300 overflow the ansatz at N = 2: that row carries the
+        # ValueError instead of a NaN g2, and the weak-drive row is unaffected.
+        base = ModelParams(2, 20.0, 20.0, 1.0, 1.0, 0.01, 0.5)
+        spec = SweepSpec(base, "drive_rabi", (1e-3, 1e300), ("analytic",),
+                         probe_tracks_drive=1.0)
+        ok, failed = run_sweep(spec)
+        assert ok.error is None and ok.g2_analytic > 0
+        assert failed.error.startswith("ValueError: |c_e0|^2 is not finite (inf): ")
+        assert failed.g2_analytic is None and failed.p1 is None
+
 
 class TestMinimumSearch:
     def test_golden_section_quadratic(self):
