@@ -42,19 +42,19 @@ class AmplitudeSet:
 
     @property
     def p_g1(self) -> float:
-        return abs(self.c_g1) ** 2
+        return abs(self.c_g1) * abs(self.c_g1)
 
     @property
     def p_e1(self) -> float:
-        return abs(self.c_e1) ** 2
+        return abs(self.c_e1) * abs(self.c_e1)
 
     @property
     def p_g11(self) -> float:
-        return abs(self.c_g11) ** 2
+        return abs(self.c_g11) * abs(self.c_g11)
 
     @property
     def p_g12(self) -> float:
-        return abs(self.c_g12) ** 2
+        return abs(self.c_g12) * abs(self.c_g12)
 
 
 def complex_detuning(p: ModelParams) -> complex:

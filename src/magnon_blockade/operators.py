@@ -9,7 +9,6 @@ only sigma_minus and the mode lowering operators on the full space, which
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +64,10 @@ def ladder_operators(spec: HilbertSpec) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Each site's operator is the ladder sqrt(n) |n-1><n| on its own factor
     (on the qubit that is |g><e|), in a Kronecker product with identities
-    on every other site.
+    on every other site: sqrt(digit) on the diagonal that raises its digit.
     """
-    ops = []
-    for site, d in enumerate(spec.dims):
-        factors = [np.eye(dk) for dk in spec.dims]
-        factors[site] = np.diag(np.sqrt(np.arange(1, d)), k=1)
-        ops.append(functools.reduce(np.kron, factors, np.eye(1, dtype=complex)))
+    digits, stride, ops = np.indices(spec.dims).reshape(len(spec.dims), -1), spec.dim, []
+    for d, site in zip(spec.dims, digits):
+        stride //= d  # the basis index moves by stride when this site's digit does
+        ops.append(np.diag(np.sqrt(site[stride:]).astype(complex), k=stride))
     return ops[0], ops[1:]

@@ -39,7 +39,7 @@ class SteadyStateError(RuntimeError):
 
 #: A generator's parameter-free parts, reduced; see :func:`generator_parts`.
 GeneratorParts = namedtuple(
-    "GeneratorParts", "positions reduced slots order width offsets gram scale"
+    "GeneratorParts", "positions reduced slots bounds order width offsets gram scale"
 )
 
 
@@ -68,60 +68,70 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
 
     Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
     unit-rate dissipator of :func:`build_dissipators`; weighted by
-    :func:`hamiltonian_coefficients` and kappa, they sum to L.  Each part is
-    built on the D^2 x D^2 entries (numpy Kronecker index arithmetic) and
-    kept only as reduced[k] = Re(E L_k W) at the flat indices positions of
-    the m x m orbit system where some part is nonzero.  gram[k, l] =
-    Re tr(L_k^dag L_l) gives ||L||_F^2 = w^T gram w.  Every part commutes
-    with mode exchange and preserves Hermiticity, so L W y = W z with
-    Re(E L W) y = |orbit| z and ||L W y||^2 = sum_q scale[q] (Re(E L W) y)_q^2
-    for scale[q] = ||W e_q||^2 / |orbit q|^2.  For :func:`solve_steady_state`,
+    :func:`hamiltonian_coefficients` and kappa, they sum to L.  One part at a
+    time, the entries of its Kronecker terms f kron(a, b) are summed by orbit
+    pair, and reduced[k] = Re(E L_k W) is kept at the flat indices positions
+    of the m x m orbit system where some part is nonzero.  gram[k, l] =
+    Re tr(L_k^dag L_l), from tr(kron(a, b)^dag kron(c, e)) = tr(a^dag c)
+    tr(b^dag e), gives ||L||_F^2 = w^T gram w.  Every part commutes with mode
+    exchange and preserves Hermiticity, so L W y = W z with Re(E L W) y =
+    |orbit| z and ||L W y||^2 = sum_q scale[q] (Re(E L W) y)_q^2 for
+    scale[q] = ||W e_q||^2 / |orbit q|^2.  For :func:`solve_steady_state`,
     order lists the coordinates by excitation sector, width[s + 1] is sector
-    s's size (zero-padded at both ends), offsets[s] the starts of row sector
-    s's four band blocks in one flat buffer, and slots each position's index
-    there; an entry outside that band raises SteadyStateError.  Read-only arrays.
+    s's size (zero-padded at both ends), and entries bounds[s] to bounds[s+1]
+    are row sector s's, sorted by slots, their places in a buffer of
+    offsets[s, 4] values with four band blocks from offsets[s, :4]; an entry
+    outside that band raises SteadyStateError.  Read-only arrays.
     """
-    n, d, eye, keys, data, owner = spec.dim**2, spec.dim, np.eye(spec.dim), [], [], []
-    unit_rate = (np.zeros((d, d)), [(o, 1.0) for o in build_dissipators(spec)])
-    parts = [(h, []) for h in hamiltonian_parts(spec)] + [unit_rate]
-    for k, (h, channels) in enumerate(parts):
-        terms = [(-1j, eye, h), (1j, h.T, eye)]  # f kron(a, b), as in the module docstring
-        for o, rate in channels:
-            odo = o.conj().T @ o
-            terms += [(rate, o.conj(), o), (-rate / 2, eye, odo), (-rate / 2, odo.T, eye)]
-        for f, a, b in terms:
-            (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
-            keys.append(((ra[:, None] * d + rb) * n + ca[:, None] * d + cb).ravel())
-            data.append(f * np.outer(a[ra, ca], b[rb, cb]).ravel())
-            owner.append(np.full(keys[-1].size, k))
-    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    values = np.zeros((len(parts), keys.size), dtype=complex)
-    np.add.at(values, (np.concatenate(owner), inverse), np.concatenate(data))
-    keep = np.any(values != 0, axis=0)
-    (rows, cols), values = np.divmod(keys[keep], n), values[:, keep]
-    gram = np.array([[np.vdot(a, b).real for b in values] for a in values])
-    # Entry (r, c) of L meets E in up to two rows and W in up to two columns.
+    d, eye, sums = spec.dim, np.eye(spec.dim), []
     w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
-    coefs = (e_coefs[:, None, rows] * w_coefs[None, :, cols]).reshape(4, -1)
+    m, labels = trace.size, e_rows[0].reshape(d, d)
+    parts = [[(-1j, eye, h), (1j, h.T, eye)] for h in hamiltonian_parts(spec)] + [[]]
+    for o in build_dissipators(spec):  # unit rate; f kron(a, b), as in the module docstring
+        odo = o.conj().T @ o
+        parts[-1] += [(1.0, o.conj(), o), (-0.5, eye, odo), (-0.5, odo.T, eye)]
+    fs, a_s, b_s = zip(*(term for part in parts for term in part))
+    gram = np.outer(np.conj(fs), fs)  # of the terms, times tr(a^dag c) tr(b^dag e) below
+    for stack in map(np.array, (a_s, b_s)):
+        stack = stack[:, stack.any(axis=0)]  # only the entries nonzero in some factor
+        gram = gram * (stack.conj() @ stack.T)
+    member = np.repeat(np.eye(len(parts)), list(map(len, parts)), axis=1)  # each term's part
+    gram = (member @ gram @ member.T).real
+    first = np.unique(e_rows[0], return_index=True)[1]  # a vec index in each orbit
+    for k, part in enumerate(parts):  # part k's entries, summed by orbit pair
+        keys, vals = [], []
+        for f, a, b in part:
+            (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+            keys.append((labels[ra[:, None], rb] * m + labels[ca[:, None], cb]).ravel())
+            vals.append((f * np.outer(a[ra, ca], b[rb, cb])).ravel())
+        keys, vals = np.concatenate(keys), np.concatenate(vals)
+        read = e_coefs[0, first[keys // m]] != 0  # E reads only the rows of orbits o <= t(o)
+        keys, inverse = np.unique(keys[read], return_inverse=True)
+        vals = vals[read]
+        z = np.bincount(inverse, vals.real) + 1j * np.bincount(inverse, vals.imag)
+        sums.append((keys, z, np.full(keys.size, k)))
+    keys, z, owner = map(np.concatenate, zip(*sums))
+    rows, cols = first[[keys // m, keys % m]]  # meet E in up to 2 rows, W in up to 2 columns
+    coefs = (e_coefs[:, None, rows] * w_coefs[None, :, cols] * z).real.reshape(4, -1)
     pair, entry = np.nonzero(coefs)
-    targets = (e_rows[:, None, rows] * trace.size + w_cols[None, :, cols]).reshape(4, -1)
-    positions, inverse = np.unique(targets[pair, entry], return_inverse=True)
-    c = coefs[pair, entry]  # one part at a time keeps the build's memory peak low
-    reduced = np.array([np.bincount(inverse, (c * v[entry]).real, positions.size) for v in values])
+    targets = (e_rows[:, None, rows] * m + w_cols[None, :, cols]).reshape(4, -1)[pair, entry]
+    positions, inverse = np.unique(targets, return_inverse=True)
+    reduced = np.bincount(owner[entry] * positions.size + inverse, coefs[pair, entry],
+                          len(parts) * positions.size).reshape(len(parts), -1)
     keep = np.any(reduced != 0, axis=0)  # drops orbit sums that cancel in every part
     positions, reduced = positions[keep], reduced[:, keep]
     scale = np.bincount(w_cols.ravel(), np.abs(w_coefs.ravel()) ** 2, trace.size)
     scale /= np.bincount(e_rows[0], minlength=trace.size) ** 2
     # Coordinates in order of sector s = k_bra + k_ket (total excitations of
     # row and column); row sector s meets column sectors s - 1 .. s + 2 in
-    # blocks stored row sector by row sector, 4 blocks each, from offsets.
+    # four blocks, laid out row sector by row sector from offsets.
     exc = np.indices(spec.dims).reshape(len(spec.dims), d).sum(axis=0)
     sector = np.empty(trace.size, dtype=np.intp)
     sector[e_rows[0]] = np.add.outer(exc, exc).ravel()
     order, width = np.argsort(sector, kind="stable"), np.r_[0, np.bincount(sector), 0, 0]
     local = np.argsort(order) - np.cumsum(width[:-2])[sector]  # index within its sector
     sizes = width[1:-2, None] * width[np.arange(width.size - 3)[:, None] + np.arange(4)]
-    offsets = np.cumsum(np.r_[0, sizes.ravel()])[:-1].reshape(sizes.shape)
+    offsets = np.cumsum(np.c_[np.zeros(len(sizes), dtype=np.intp), sizes], axis=1)
     i, j = np.divmod(positions, trace.size)
     band = sector[j] - sector[i] + 1
     if np.any((band < 0) | (band > 3)):
@@ -130,7 +140,10 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
             "row sector s = k_bra + k_ket couples only to sectors s - 1 .. s + 2"
         )
     slots = offsets[sector[i], band] + local[i] * width[sector[j] + 1] + local[j]
-    arrays = (positions, reduced, slots, order, width, offsets, gram, scale)
+    by_slot = np.lexsort((slots, sector[i]))
+    bounds = np.searchsorted(sector[i][by_slot], np.arange(len(sizes) + 1))
+    positions, reduced, slots = positions[by_slot], reduced[:, by_slot], slots[by_slot]
+    arrays = (positions, reduced, slots, bounds, order, width, offsets, gram, scale)
     for arr in arrays:
         arr.flags.writeable = False
     return GeneratorParts(*arrays)
@@ -209,26 +222,25 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     A[s, s-1] y_{s-1} + A[s, s] y_s + A[s, s+1] y_{s+1} + A[s, s+2] y_{s+2} = 0.
     Sector 0 is the vacuum alone; its coordinate is pinned to 1 and its row,
     the one the trace makes redundant, dropped.  A sweep down from the top
-    sector eliminates y_s = X_s y_{s-1} with
+    sector fills row sector s's four blocks only on reaching it and
+    eliminates y_s = X_s y_{s-1} with
     X_s = -M_s^-1 A[s, s-1], M_s = A[s, s] + (A[s, s+1] + A[s, s+2] X_{s+2}) X_{s+1},
     a matrix continued fraction (Risken, The Fokker-Planck Equation, ch. 9);
-    a sweep up applies the X_s, and the trace row normalizes.  Each LU
-    factors one sector's block, so pivoting never trades the tiny
-    multi-excitation moments of a blockade dip against the vacuum's
-    coordinates, and every size runs on numpy alone.  Raises
-    SteadyStateError when an M_s is singular (the steady state is not
-    unique) or when the residual ||L v||, taken in the orbit coordinates
-    (:func:`generator_parts`), exceeds RESIDUAL_RTOL * ||L||_F.
+    a sweep up applies the X_s, and the trace row normalizes.  Each LU factors
+    one sector's block, so pivoting never trades the tiny multi-excitation
+    moments of a blockade dip against the vacuum's coordinates.  Raises
+    SteadyStateError when an M_s is singular (the steady state is not unique)
+    or when the residual ||L v|| in the orbit coordinates
+    (:func:`generator_parts`) exceeds RESIDUAL_RTOL * ||L||_F.
     """
     parts, (w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
     weighted = lv.weights @ parts.reduced
-    band = np.zeros(parts.offsets[-1, -1])
-    band[parts.slots] = weighted
-    n, top = parts.width.tolist(), parts.width.size - 4
+    n, top, bounds = parts.width.tolist(), parts.width.size - 4, parts.bounds.tolist()
     x = {top + 1: np.zeros((0, n[top + 1])), top + 2: np.zeros((0, 0))}
-    for s, offsets in reversed(list(enumerate(parts.offsets.tolist()))[1:]):
-        a = [band[k : k + n[s + 1] * n[t]].reshape(n[s + 1], n[t])
-             for k, t in zip(offsets, range(s, s + 4))]
+    for s, ends in reversed(list(enumerate(parts.offsets.tolist()))[1:]):
+        band = np.zeros(ends[4])  # row sector s's four blocks, filled only now
+        band[parts.slots[bounds[s] : bounds[s + 1]]] = weighted[bounds[s] : bounds[s + 1]]
+        a = [band[i:j].reshape(n[s + 1], n[t]) for i, j, t in zip(ends, ends[1:], range(s, s + 4))]
         try:
             x[s] = -np.linalg.solve(a[1] + (a[2] + a[3] @ x[s + 2]) @ x[s + 1], a[0])
         except np.linalg.LinAlgError as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from magnon_blockade.analytic import (
     SINGULAR_RTOL,
+    AmplitudeSet,
     ResonanceError,
     amplitudes_for,
     complex_detuning,
@@ -251,6 +252,14 @@ class TestResonances:
         # Every |c|^2 is finite, but the squared norm of the ansatz is not.
         amps = amplitudes_for(ModelParams(1, 35.0, 35.0, 1e70, 1e70, 0.0, 0.5))
         assert math.isfinite(amps.p_g11)
+        with pytest.raises(ValueError, match="squared norm of the ansatz is not finite"):
+            g2_analytic(amps)
+
+    def test_overflowing_hand_built_set_rejected(self):
+        # |c_g1|^2 overflows to inf rather than raising a bare OverflowError,
+        # so the squared norm names the failure.
+        amps = AmplitudeSet(0j, 1e200 + 0j, 0j, 0j)
+        assert amps.p_g1 == math.inf
         with pytest.raises(ValueError, match="squared norm of the ansatz is not finite"):
             g2_analytic(amps)
 

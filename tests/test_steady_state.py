@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,58 @@ class TestReducedParts:
         got = np.zeros_like(want)
         got[lv.parts.positions] = lv.weights @ lv.parts.reduced
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_each_part_matches_its_sparse_reduction(self, n_modes, cutoff):
+        # Part by part, not only weighted: reduced[k] is Re(E L_k W) of the
+        # scipy-built part k, and gram[k, l] is Re tr(L_k^dag L_l) of the
+        # scipy-built parts k and l, each to round-off.
+        spec = HilbertSpec(n_modes, cutoff)
+        parts, oracle = generator_parts(spec), model_parts(spec)
+        for k, part in enumerate(oracle):
+            want = reduced_system(part, spec).ravel()
+            got = np.zeros_like(want)
+            got[parts.positions] = parts.reduced[k]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        want = np.array([[a.conj().multiply(b).sum().real for b in oracle] for a in oracle])
+        bound = 1e-13 * np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        assert np.all(np.abs(parts.gram - want) <= bound)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes fn allocates on top of what was allocated before it (tracemalloc)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    # N = 3, cutoff 3 (D = 128, m = 3264 coordinates); the cached orbit maps
+    # are built before tracing, so only the parts' and the solve's own work counts.
+    spec = HilbertSpec(3, 3)
+
+    def test_build_stays_at_reduced_size(self):
+        # Each part is summed over orbit pairs on its own (23 MB traced);
+        # summing all six parts on their D^2 x D^2 entries first took 125 MB.
+        hermitian_coordinates(self.spec)
+        assert traced_peak(lambda: generator_parts.__wrapped__(self.spec)) < 40e6
+
+    def test_solve_fills_one_row_sector_at_a_time(self):
+        # A row sector's four blocks take at most 5.5 MB (17 MB traced);
+        # filling the whole band (31 MB, 1.6% nonzero) at once took 41 MB.
+        p = ModelParams(3, 20 * math.sqrt(3), 20.0, 0.03 * math.sqrt(3), 0.01, 0.01, 0.5, 3)
+        lv = build_liouvillian(p)
+        solve_steady_state(lv)
+        assert traced_peak(lambda: solve_steady_state(lv)) < 25e6
 
 
 # (N, cutoff) of the full-space oracle runs: N = 2 and 3 take a dense LU
