@@ -14,14 +14,13 @@ from .analytic import (
     optimal_conditions,
     theta_optimal_exact,
 )
-from .model import ModelParams, build_dissipators
+from .model import DensityMatrix, HilbertSpec, ModelParams, build_dissipators
 from .observables import (
     BlockadeMetrics,
     blockade_metrics,
     classify_statistics,
     g2_zero_delay,
 )
-from .operators import DensityMatrix, HilbertSpec
 from .steady_state import (
     Liouvillian,
     build_liouvillian,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix
+from .model import DensityMatrix
 
 #: Smallest mode occupation for which the correlation ratio is formed.
 OCCUPATION_FLOOR = 1e-14

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, build_dissipators, hamiltonian_coefficients, hamiltonian_parts
+from .model import (DensityMatrix, HilbertSpec, ModelParams, build_dissipators,
+                    hamiltonian_coefficients, hamiltonian_parts)
 from .observables import g2_zero_delay
-from .operators import DensityMatrix, HilbertSpec
 
 #: Largest Hilbert dimension D for which generator parts are built.
 MAX_HILBERT_DIM = 500
@@ -84,8 +84,8 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
     outside that band raises SteadyStateError.  Read-only arrays.
     """
     d, eye, sums = spec.dim, np.eye(spec.dim), []
-    w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
-    m, labels = trace.size, e_rows[0].reshape(d, d)
+    labels, w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
+    m, labels = trace.size, labels.reshape(d, d)
     parts = [[(-1j, eye, h), (1j, h.T, eye)] for h in hamiltonian_parts(spec)] + [[]]
     for o in build_dissipators(spec):  # unit rate; f kron(a, b), as in the module docstring
         odo = o.conj().T @ o
@@ -97,7 +97,6 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
         gram = gram * (stack.conj() @ stack.T)
     member = np.repeat(np.eye(len(parts)), list(map(len, parts)), axis=1)  # each term's part
     gram = (member @ gram @ member.T).real
-    first = np.unique(e_rows[0], return_index=True)[1]  # a vec index in each orbit
     for k, part in enumerate(parts):  # part k's entries, summed by orbit pair
         keys, vals = [], []
         for f, a, b in part:
@@ -105,13 +104,13 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
             keys.append((labels[ra[:, None], rb] * m + labels[ca[:, None], cb]).ravel())
             vals.append((f * np.outer(a[ra, ca], b[rb, cb])).ravel())
         keys, vals = np.concatenate(keys), np.concatenate(vals)
-        read = e_coefs[0, first[keys // m]] != 0  # E reads only the rows of orbits o <= t(o)
+        read = e_coefs[0, keys // m] != 0  # E reads only the rows of orbits o <= t(o)
         keys, inverse = np.unique(keys[read], return_inverse=True)
         vals = vals[read]
         z = np.bincount(inverse, vals.real) + 1j * np.bincount(inverse, vals.imag)
         sums.append((keys, z, np.full(keys.size, k)))
     keys, z, owner = map(np.concatenate, zip(*sums))
-    rows, cols = first[[keys // m, keys % m]]  # meet E in up to 2 rows, W in up to 2 columns
+    rows, cols = np.divmod(keys, m)  # orbits; meet E in up to 2 rows, W in up to 2 columns
     coefs = (e_coefs[:, None, rows] * w_coefs[None, :, cols] * z).real.reshape(4, -1)
     pair, entry = np.nonzero(coefs)
     targets = (e_rows[:, None, rows] * m + w_cols[None, :, cols]).reshape(4, -1)[pair, entry]
@@ -120,14 +119,14 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
                           len(parts) * positions.size).reshape(len(parts), -1)
     keep = np.any(reduced != 0, axis=0)  # drops orbit sums that cancel in every part
     positions, reduced = positions[keep], reduced[:, keep]
-    scale = np.bincount(w_cols.ravel(), np.abs(w_coefs.ravel()) ** 2, trace.size)
-    scale /= np.bincount(e_rows[0], minlength=trace.size) ** 2
+    size = np.bincount(labels.ravel(), minlength=m)  # of each orbit
+    scale = np.bincount(w_cols.ravel(), (np.abs(w_coefs) ** 2 * size).ravel(), m) / size**2
     # Coordinates in order of sector s = k_bra + k_ket (total excitations of
     # row and column); row sector s meets column sectors s - 1 .. s + 2 in
     # four blocks, laid out row sector by row sector from offsets.
     exc = np.indices(spec.dims).reshape(len(spec.dims), d).sum(axis=0)
-    sector = np.empty(trace.size, dtype=np.intp)
-    sector[e_rows[0]] = np.add.outer(exc, exc).ravel()
+    sector = np.empty(m, dtype=np.intp)
+    sector[labels] = np.add.outer(exc, exc)
     order, width = np.argsort(sector, kind="stable"), np.r_[0, np.bincount(sector), 0, 0]
     local = np.argsort(order) - np.cumsum(width[:-2])[sector]  # index within its sector
     sizes = width[1:-2, None] * width[np.arange(width.size - 3)[:, None] + np.arange(4)]
@@ -185,23 +184,24 @@ def orbit_labels(spec: HilbertSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def hermitian_coordinates(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
-    """(w_cols, w_coefs, e_rows, e_coefs, trace): m real coordinates y of
-    the Hermitian permutation-invariant states, as numpy index maps.
+    """(labels, w_cols, w_coefs, e_rows, e_coefs, trace): m real coordinates
+    y of the Hermitian permutation-invariant states, as numpy index maps.
 
     Orbits o and t(o) hold conjugate values, so x_o = y_o when o = t(o), and
     x_o = y_o + i y_t(o) and x_t(o) = y_o - i y_t(o) when o < t(o); v = W y.
     Row o of E sums over orbit o for o <= t(o), and row t(o) is that sum
     times -i for o < t(o), so Re(E L W) y = 0 holds the real and imaginary
-    parts of the orbit equations.  Row k of W is w_coefs[:, k] at columns
-    w_cols[:, k], column k of E is e_coefs[:, k] at rows e_rows[:, k] (zero:
-    no entry), and trace = Re(vec(I)^T W).  Shared, read-only arrays.
+    parts of the orbit equations.  The four maps hold one column per orbit:
+    row k of W is w_coefs[:, o] at columns w_cols[:, o] and column k of E is
+    e_coefs[:, o] at rows e_rows[:, o] (zero: no entry), for o = labels[k] of
+    :func:`orbit_labels`, and trace = Re(vec(I)^T W).  Shared, read-only arrays.
     """
     d, labels = spec.dim, orbit_labels(spec)
     m = int(labels.max()) + 1
     k, o = np.arange(d * d), np.arange(m)
     t = np.empty(m, dtype=np.intp)
     t[labels] = labels[(k % d) * d + k // d]
-    maps = [np.stack(pair)[:, labels] for pair in (
+    maps = [labels] + [np.stack(pair) for pair in (
         (np.minimum(o, t), np.maximum(o, t)), (np.ones(m), 1j * np.sign(t - o)),
         (o, t), ((o <= t) * 1.0, np.where(o < t, -1j, 0)),
     )] + [np.bincount(labels[:: d + 1], minlength=m).astype(float)]
@@ -233,8 +233,12 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     or when the residual ||L v|| in the orbit coordinates
     (:func:`generator_parts`) exceeds RESIDUAL_RTOL * ||L||_F.
     """
-    parts, (w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
-    weighted = lv.weights @ parts.reduced
+    parts, (labels, w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
+    # 2^-e L has L's steady state and rounds nothing; with its largest weight
+    # below 1, ||L||^2 and the squared residual neither overflow nor underflow.
+    exp = int(np.frexp(np.abs(lv.weights).max())[1])
+    weights = np.ldexp(lv.weights, -exp)
+    weighted = weights @ parts.reduced
     n, top, bounds = parts.width.tolist(), parts.width.size - 4, parts.bounds.tolist()
     x = {top + 1: np.zeros((0, n[top + 1])), top + 2: np.zeros((0, 0))}
     for s, ends in reversed(list(enumerate(parts.offsets.tolist()))[1:]):
@@ -252,15 +256,15 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
         ys.append(x[s] @ ys[-1])
     y[parts.order] = np.concatenate(ys)
     y /= trace @ y
-    v = (w_coefs * y[w_cols]).sum(axis=0)
+    v = (w_coefs * y[w_cols]).sum(axis=0)[labels]  # orbit values, spread to the D^2 entries
 
     rows, cols = np.divmod(parts.positions, trace.size)
     residual = np.sqrt(parts.scale @ np.bincount(rows, weighted * y[cols], trace.size) ** 2)
-    l_norm = np.sqrt(lv.weights @ parts.gram @ lv.weights)
+    l_norm = np.sqrt(weights @ parts.gram @ weights)
     if not residual <= RESIDUAL_RTOL * l_norm:  # also rejects a NaN residual
         raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.1e} * ||L|| = {RESIDUAL_RTOL * l_norm:.3e}"
+            f"steady-state residual {np.ldexp(residual, exp):.3e} exceeds "
+            f"{RESIDUAL_RTOL:.1e} * ||L|| = {np.ldexp(RESIDUAL_RTOL * l_norm, exp):.3e}"
         )
 
     return DensityMatrix(unvectorize(v, lv.dim), lv.spec)

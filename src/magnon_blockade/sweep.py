@@ -98,7 +98,11 @@ def apply_axis(
     value: float,
     probe_tracks_drive: float | None = None,
 ) -> ModelParams:
-    """Parameter set at one grid point of the given axis."""
+    """Parameter set at one grid point of the given axis.  A ratio axis
+    raises ValueError when its reference field is zero."""
+    reference = {"delta_over_j": "coupling", "probe_over_drive": "drive_rabi"}.get(axis)
+    if reference and getattr(base, reference) == 0:
+        raise ValueError(f"the {axis} axis is a ratio to {reference}, which is 0")
     if axis == "delta_over_j":
         return base.with_(delta=value * base.coupling)
     if axis == "probe_over_drive":

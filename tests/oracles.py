@@ -25,12 +25,13 @@ from scipy.special import binom
 
 from magnon_blockade.analytic import ResonanceError, _check_denominator, complex_detuning
 from magnon_blockade.model import (
+    DensityMatrix,
+    HilbertSpec,
     ModelParams,
     build_dissipators,
     hamiltonian_coefficients,
     hamiltonian_parts,
 )
-from magnon_blockade.operators import DensityMatrix, HilbertSpec
 from magnon_blockade.steady_state import (
     Liouvillian,
     SteadyStateError,

@@ -15,9 +15,8 @@ from magnon_blockade.analytic import (
     g2_analytic,
     theta_optimal_exact,
 )
-from magnon_blockade.model import ModelParams
+from magnon_blockade.model import DensityMatrix, HilbertSpec, ModelParams, ladder_operators
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
-from magnon_blockade.operators import DensityMatrix, HilbertSpec, ladder_operators
 from magnon_blockade.steady_state import (
     build_liouvillian,
     converge_truncation,

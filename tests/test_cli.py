@@ -203,6 +203,17 @@ class TestSweepCommand:
         assert main(args) == 1
         assert "probe_tracks_drive applies to the drive_rabi axis" in capsys.readouterr().err
 
+    def test_ratio_axis_at_zero_coupling_exit_1(self, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr("magnon_blockade.cli.run_sweep", lambda *a, **k: sweeps.append(a))
+        args = [*self.sweep_args(str(tmp_path / "sweep.csv")), "--coupling", "0",
+                "--axis", "delta_over_j"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "grid point delta_over_j = 0.0: the delta_over_j axis is a ratio to coupling" in err
+        assert sweeps == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_missing_grid_exit_1(self, capsys):
         assert main(["sweep", *BASE_FLAGS, "--axis", "theta"]) == 1
         assert "grid" in capsys.readouterr().err
@@ -522,7 +533,7 @@ class TestImportSurface:
         assert all(callable(getattr(magnon_blockade, name)) for name in magnon_blockade.__all__)
         for name in ("embed", "partial_trace", "fock_annihilation", "qubit_lowering",
                      "mode_annihilation", "qubit_sigma_minus"):
-            assert not hasattr(magnon_blockade.operators, name)
+            assert not hasattr(magnon_blockade.model, name)
         assert not hasattr(magnon_blockade.model, "build_effective_hamiltonian")
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from magnon_blockade.model import ModelParams, build_dissipators
-from magnon_blockade.operators import HilbertSpec, ladder_operators
+from magnon_blockade.model import HilbertSpec, ModelParams, build_dissipators, ladder_operators
+from magnon_blockade.steady_state import build_liouvillian, generator_parts
 from oracles import build_effective_hamiltonian, single_excitation_energies
 
 
@@ -46,6 +46,25 @@ class TestModelParams:
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValueError, match="^fock_cutoff .*no excitation sector"):
             ModelParams(1, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_modes", 1.5), ("n_modes", 2.0), ("fock_cutoff", 2.5),
+                         ("fock_cutoff", 2.0), ("fock_cutoff", "2")],
+    )
+    def test_rejects_non_integer_fields(self, field, value):
+        # Checked for every ModelParams by its HilbertSpec, before N or the
+        # cutoff reaches an engine; N = 1.5 would scale J by sqrt(1.5).
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            fig2_params().with_(**{field: value})
+        spec = {"n_modes": 1, "fock_cutoff": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            HilbertSpec(**spec)
+
+    def test_numpy_integers_share_the_cached_parts(self):
+        assert HilbertSpec(np.int64(2), np.int32(2)) == HilbertSpec(2, 2)
+        assert generator_parts(HilbertSpec(np.int64(2), 2)) is generator_parts(HilbertSpec(2, 2))
+        p = ModelParams(np.int64(2), 20.0, 20.0, 0.1, 0.1, 0.0, 1.0, np.int64(2))
+        assert build_liouvillian(p).parts is generator_parts(HilbertSpec(2, 2))
 
     def test_hilbert_spec_is_modes_and_cutoff(self):
         p = ModelParams(2, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=3)

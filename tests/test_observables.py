@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnon_blockade.model import DensityMatrix, HilbertSpec
 from magnon_blockade.observables import (
     ANTIBUNCHING,
     BUNCHING,
@@ -15,7 +16,6 @@ from magnon_blockade.observables import (
     classify_statistics,
     g2_zero_delay,
 )
-from magnon_blockade.operators import DensityMatrix, HilbertSpec
 from oracles import partial_trace
 
 

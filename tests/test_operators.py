@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magnon_blockade.operators import DensityMatrix, HilbertSpec, ladder_operators
+from magnon_blockade.model import DensityMatrix, HilbertSpec, ladder_operators
 from oracles import partial_trace, validate
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], complex)

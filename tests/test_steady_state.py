@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magnon_blockade.model import ModelParams, build_dissipators, hamiltonian_parts
+from magnon_blockade.model import (
+    DensityMatrix,
+    HilbertSpec,
+    ModelParams,
+    build_dissipators,
+    hamiltonian_parts,
+    ladder_operators,
+)
 from magnon_blockade import steady_state
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
-from magnon_blockade.operators import DensityMatrix, HilbertSpec, ladder_operators
 from magnon_blockade.steady_state import (
     MAX_HILBERT_DIM,
     N_MAX_START,
@@ -351,9 +358,11 @@ def transpose_partners(spec: HilbertSpec) -> np.ndarray:
 
 
 def map_matrices(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """W and E assembled from the index maps of hermitian_coordinates."""
-    w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
-    n, m = w_cols.shape[1], trace.size
+    """W and E assembled from the per-orbit index maps of hermitian_coordinates,
+    expanded to every vec index through the orbit labels."""
+    labels, *maps, trace = hermitian_coordinates(spec)
+    w_cols, w_coefs, e_rows, e_coefs = (arr[:, labels] for arr in maps)
+    n, m = labels.size, trace.size
     k = np.tile(np.arange(n), 2)
     w = sp.csr_matrix((w_coefs.ravel(), (k, w_cols.ravel())), shape=(n, m))
     e = sp.csr_matrix((e_coefs.ravel(), (e_rows.ravel(), k)), shape=(m, n))
@@ -387,7 +396,7 @@ class TestHermitianCoordinates:
         for got, want in zip(map_matrices(spec), coordinate_matrices(spec)):
             assert got.shape == want.shape
             assert abs(got - want).max() == 0
-        trace = hermitian_coordinates(spec)[4]
+        trace = hermitian_coordinates(spec)[-1]
         w, _ = coordinate_matrices(spec)
         assert np.array_equal(trace, (vectorize(np.eye(spec.dim)) @ w).real)
 
@@ -642,6 +651,38 @@ class TestReducedResidual:
         monkeypatch.setattr(steady_state, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SteadyStateError, match=r"residual .* exceeds 0\.0e\+00 \* \|\|L\|\|"):
             solve_steady_state(build_liouvillian(fig2_params()))
+
+
+def rates_times(p: ModelParams, c: float) -> ModelParams:
+    """p with every rate and frequency multiplied by c (the phase kept)."""
+    return p.with_(delta=c * p.delta, coupling=c * p.coupling, probe_rabi=c * p.probe_rabi,
+                   drive_rabi=c * p.drive_rabi, decay=c * p.decay)
+
+
+class TestScaleFreeGate:
+    # In units where the rates sit near 2^520 (2^-600), ||L||_F^2 and the
+    # squared residual overflow (underflow): formed in those units, the gate
+    # residual <= RESIDUAL_RTOL * ||L|| would hold for any solution.
+    p = fig2_params(drive=0.001)
+    scales = [pytest.param(2.0**520, id="2^520"), pytest.param(2.0**-600, id="2^-600")]
+
+    @pytest.mark.parametrize("c", scales)
+    def test_clean_solve_matches_unit_scale_bit_for_bit(self, c):
+        want = solve_steady_state(build_liouvillian(self.p)).matrix
+        assert np.array_equal(solve_steady_state(build_liouvillian(rates_times(self.p, c))).matrix,
+                              want)
+
+    @pytest.mark.parametrize("c", [pytest.param(1.0, id="1"), *scales])
+    def test_corrupted_solve_raises_at_every_scale(self, c, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-3))
+        with pytest.raises(SteadyStateError, match="residual") as caught:
+            solve_steady_state(build_liouvillian(rates_times(self.p, c)))
+        # The residual and the bound are reported in the caller's units.
+        l_norm = spla.norm(sparse_generator(build_liouvillian(self.p)))
+        residual, bound = map(float, re.findall(r"(\S+) exceeds .* = (\S+)$", str(caught.value))[0])
+        assert bound / c == pytest.approx(1e-10 * l_norm, rel=1e-3)
+        assert residual > bound
 
 
 class TestTraceDistance:

@@ -99,6 +99,27 @@ class TestApplyAxis:
         assert p.probe_rabi == base.probe_rabi
 
 
+class TestRatioAxes:
+    @pytest.mark.parametrize("axis, field", [("delta_over_j", "coupling"),
+                                             ("probe_over_drive", "drive_rabi")])
+    def test_zero_reference_rejected_before_any_solve(self, axis, field, monkeypatch):
+        # At J = 0 every delta_over_j point would be delta = 0; at drive 0 every
+        # probe_over_drive point would fail for a vanishing amplitude instead.
+        solves = []
+        for name in ("solve_steady_state", "converge_truncation", "amplitudes_for"):
+            monkeypatch.setattr(sweep, name, lambda *a, **k: solves.append(a))
+        base = fig2_params().with_(**{field: 0.0})
+        message = rf"^grid point {axis} = -1\.0: the {axis} axis is a ratio to {field}, which is 0$"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(base, axis, (-1.0, 0.0, 1.0), ("numeric", "analytic"))
+        for engine in ("numeric", "analytic"):
+            with pytest.raises(ValueError, match=message):
+                find_minimum(base, axis, (-1.0, 1.0), engine=engine)
+        with pytest.raises(ValueError, match=f"ratio to {field}, which is 0"):
+            apply_axis(base, axis, 1.0)
+        assert solves == []
+
+
 class TestRunSweep:
     def test_record_per_grid_point_in_order(self):
         grid = tuple(np.linspace(0.0, 0.02, 50))
@@ -274,6 +295,7 @@ class TestVerifyScaling:
             ({"coupling": math.inf}, "coupling must be finite, got inf"),
             ({"n_list": (2, 2)}, "n_list repeats N = 2"),
             ({"n_list": (1, 3, 2, 3, 1)}, "n_list repeats N = 1, 3"),
+            ({"n_list": (1.5,)}, "n_modes must be an integer, got 1.5"),
         ],
     )
     def test_bad_input_raises_before_any_search(self, kwargs, message, monkeypatch):
