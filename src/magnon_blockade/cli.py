@@ -85,8 +85,8 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments are ignored."""
-    values = {}
+    """Flat key=value file, each key at most once; blank lines and # comments are ignored."""
+    values, lines = {}, {}
     known = {**PARAM_KEYS, **SWEEP_KEYS}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,6 +98,8 @@ def load_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if lines.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
         try:
             values[key] = known[key](value)
         except ValueError as exc:

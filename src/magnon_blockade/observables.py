@@ -29,8 +29,8 @@ ANTIBUNCHING = "antibunching"
 
 
 class UndefinedCorrelationError(ValueError):
-    """Raised when g2 cannot be formed: the mode occupation is below the
-    floor, or the two-excitation moment is negative beyond round-off."""
+    """Raised when g2 cannot be formed: a moment is not finite, the occupation
+    is below the floor, or the pair moment is negative beyond round-off."""
 
 
 def _fock_moments(rho: DensityMatrix) -> tuple[float, float, float]:
@@ -50,6 +50,10 @@ def _fock_moments(rho: DensityMatrix) -> tuple[float, float, float]:
 
 
 def _g2_ratio(occupation: float, pairs: float) -> float:
+    if not np.isfinite([occupation, pairs]).all():
+        raise UndefinedCorrelationError(
+            f"mode occupation {occupation:.3e} or pair moment {pairs:.3e} is not finite"
+        )
     if occupation < OCCUPATION_FLOOR:
         raise UndefinedCorrelationError(
             f"mode occupation {occupation:.3e} below floor {OCCUPATION_FLOOR:.1e}: "
@@ -76,8 +80,8 @@ def g2_zero_delay(rho: DensityMatrix) -> float:
 
 
 def classify_statistics(g2: float) -> str:
-    if g2 < 0:
-        raise ValueError(f"g2 must be nonnegative, got {g2}")
+    if not 0 <= g2 < np.inf:  # also rejects nan
+        raise ValueError(f"g2 must be finite and nonnegative, got {g2}")
     if g2 > 1.0 + POISSONIAN_BAND:
         return BUNCHING
     if g2 >= 1.0 - POISSONIAN_BAND:
@@ -96,8 +100,8 @@ class BlockadeMetrics:
     n_max: int
 
     def __post_init__(self):
-        if self.g2_zero < 0:
-            raise ValueError("g2_zero must be nonnegative")
+        if not 0 <= self.g2_zero < np.inf:  # also rejects nan
+            raise ValueError(f"g2_zero must be finite and nonnegative, got {self.g2_zero}")
         if not 0.0 <= self.p1 <= 1.0 + 1e-12:
             raise ValueError(f"p1 = {self.p1} is not a probability")
 

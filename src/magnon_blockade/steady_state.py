@@ -37,10 +37,10 @@ class SteadyStateError(RuntimeError):
     pass
 
 
-#: A generator's parameter-free parts, reduced; see :func:`generator_parts`.
-GeneratorParts = namedtuple(
-    "GeneratorParts", "positions reduced slots bounds order width offsets gram scale"
-)
+#: A generator's parameter-free parts, reduced, and the solve's orbit maps; see
+#: :func:`generator_parts`.
+GeneratorParts = namedtuple("GeneratorParts", "positions reduced slots bounds starts gram scale "
+                                              "labels w_cols w_coefs trace")
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,22 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
     unit-rate dissipator of :func:`build_dissipators`; weighted by
     :func:`hamiltonian_coefficients` and kappa, they sum to L.  One part at a
     time, the entries of its Kronecker terms f kron(a, b) are summed by orbit
-    pair, and reduced[k] = Re(E L_k W) is kept at the flat indices positions
-    of the m x m orbit system where some part is nonzero.  gram[k, l] =
-    Re tr(L_k^dag L_l), from tr(kron(a, b)^dag kron(c, e)) = tr(a^dag c)
-    tr(b^dag e), gives ||L||_F^2 = w^T gram w.  Every part commutes with mode
-    exchange and preserves Hermiticity, so L W y = W z with Re(E L W) y =
-    |orbit| z and ||L W y||^2 = sum_q scale[q] (Re(E L W) y)_q^2 for
-    scale[q] = ||W e_q||^2 / |orbit q|^2.  For :func:`solve_steady_state`,
-    order lists the coordinates by excitation sector, width[s + 1] is sector
-    s's size (zero-padded at both ends), and entries bounds[s] to bounds[s+1]
-    are row sector s's, sorted by slots, their places in a buffer of
-    offsets[s, 4] values with four band blocks from offsets[s, :4]; an entry
-    outside that band raises SteadyStateError.  Read-only arrays.
+    pair, and reduced[k] = Re(E L_k W) is kept at the ascending flat indices
+    positions of the m x m orbit system where some part is nonzero.
+    gram[k, l] = Re tr(L_k^dag L_l), from tr(kron(a, b)^dag kron(c, e)) =
+    tr(a^dag c) tr(b^dag e), gives ||L||_F^2 = w^T gram w.  Every part
+    commutes with mode exchange and preserves Hermiticity, so L W y = W z
+    with Re(E L W) y = |orbit| z and ||L W y||^2 = sum_q scale[q]
+    (Re(E L W) y)_q^2 for scale[q] = ||W e_q||^2 / |orbit q|^2.  In sector
+    order (starts, :func:`orbit_labels`), row sector s's entries are bounds[s]
+    to bounds[s+1] and meet columns starts[s-1] .. starts[s+3]; slots places
+    them in a buffer of those four column sectors' row-major blocks, and an
+    entry outside that band raises SteadyStateError.  labels, w_cols, w_coefs
+    and trace are :func:`hermitian_coordinates`'.  Read-only arrays.
     """
     d, eye, sums = spec.dim, np.eye(spec.dim), []
-    labels, w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
-    m, labels = trace.size, labels.reshape(d, d)
+    labels, starts, w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
+    m, grid = trace.size, labels.reshape(d, d)
     parts = [[(-1j, eye, h), (1j, h.T, eye)] for h in hamiltonian_parts(spec)] + [[]]
     for o in build_dissipators(spec):  # unit rate; f kron(a, b), as in the module docstring
         odo = o.conj().T @ o
@@ -101,7 +101,7 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
         keys, vals = [], []
         for f, a, b in part:
             (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
-            keys.append((labels[ra[:, None], rb] * m + labels[ca[:, None], cb]).ravel())
+            keys.append((grid[ra[:, None], rb] * m + grid[ca[:, None], cb]).ravel())
             vals.append((f * np.outer(a[ra, ca], b[rb, cb])).ravel())
         keys, vals = np.concatenate(keys), np.concatenate(vals)
         read = e_coefs[0, keys // m] != 0  # E reads only the rows of orbits o <= t(o)
@@ -119,30 +119,20 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
                           len(parts) * positions.size).reshape(len(parts), -1)
     keep = np.any(reduced != 0, axis=0)  # drops orbit sums that cancel in every part
     positions, reduced = positions[keep], reduced[:, keep]
-    size = np.bincount(labels.ravel(), minlength=m)  # of each orbit
+    size = np.bincount(labels, minlength=m)  # of each orbit
     scale = np.bincount(w_cols.ravel(), (np.abs(w_coefs) ** 2 * size).ravel(), m) / size**2
-    # Coordinates in order of sector s = k_bra + k_ket (total excitations of
-    # row and column); row sector s meets column sectors s - 1 .. s + 2 in
-    # four blocks, laid out row sector by row sector from offsets.
-    exc = np.indices(spec.dims).reshape(len(spec.dims), d).sum(axis=0)
-    sector = np.empty(m, dtype=np.intp)
-    sector[labels] = np.add.outer(exc, exc)
-    order, width = np.argsort(sector, kind="stable"), np.r_[0, np.bincount(sector), 0, 0]
-    local = np.argsort(order) - np.cumsum(width[:-2])[sector]  # index within its sector
-    sizes = width[1:-2, None] * width[np.arange(width.size - 3)[:, None] + np.arange(4)]
-    offsets = np.cumsum(np.c_[np.zeros(len(sizes), dtype=np.intp), sizes], axis=1)
-    i, j = np.divmod(positions, trace.size)
-    band = sector[j] - sector[i] + 1
-    if np.any((band < 0) | (band > 3)):
+    n, (i, j) = np.diff(starts), np.divmod(positions, m)
+    si, sj = np.repeat(np.arange(n.size), n)[[i, j]]  # row and column sectors
+    if np.any((sj < si - 1) | (sj > si + 2)):
         raise SteadyStateError(
             "a generator part lies outside the excitation-sector band: the solve assumes "
             "row sector s = k_bra + k_ket couples only to sectors s - 1 .. s + 2"
         )
-    slots = offsets[sector[i], band] + local[i] * width[sector[j] + 1] + local[j]
-    by_slot = np.lexsort((slots, sector[i]))
-    bounds = np.searchsorted(sector[i][by_slot], np.arange(len(sizes) + 1))
-    positions, reduced, slots = positions[by_slot], reduced[:, by_slot], slots[by_slot]
-    arrays = (positions, reduced, slots, bounds, order, width, offsets, gram, scale)
+    first = starts[np.maximum(si - 1, 0)]  # row sector si's first column
+    slots = n[si] * (starts[sj] - first) + (i - starts[si]) * n[sj] + j - starts[sj]
+    bounds = np.searchsorted(positions, starts * m)
+    arrays = (positions, reduced, slots, bounds, starts, gram, scale, labels, w_cols, w_coefs,
+              trace)
     for arr in arrays:
         arr.flags.writeable = False
     return GeneratorParts(*arrays)
@@ -160,14 +150,17 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     return Liouvillian(spec, generator_parts(spec), weights)
 
 
-def orbit_labels(spec: HilbertSpec) -> np.ndarray:
-    """Mode-permutation orbit of each vec index |i><j|, as D^2 integer labels.
+def orbit_labels(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, starts): the mode-permutation orbit of each vec index |i><j|,
+    as D^2 integer labels, and the orbits starts[s] .. starts[s+1] - 1 of
+    each excitation sector s = k_bra + k_ket.
 
     Two vec indices share an orbit when their qubit rows and columns agree
     and their per-mode pairs (a_k, b_k) agree as multisets.  Orbits are
-    numbered by their first vec index, so orbit 0 is the ground-state
-    projector alone and at N = 1 the labels are 0 .. D^2 - 1.  The
-    transposes |j><i| of orbit o form one orbit t(o), which
+    numbered by sector, then by first vec index, so sectors never decrease
+    with the orbit number, orbit 0 is the ground-state projector alone and
+    at N = 1 the labels are a permutation of 0 .. D^2 - 1.  The transposes
+    |j><i| of orbit o form one orbit t(o) of the same sector, which
     :func:`hermitian_coordinates` pairs with o.
     """
     d = spec.dim
@@ -177,15 +170,15 @@ def orbit_labels(spec: HilbertSpec) -> np.ndarray:
     pairs = np.sort(rows[1:] * spec.local_dim + cols[1:], axis=0)
     keys = np.vstack([rows[:1], cols[:1], pairs])
     _, first, label = np.unique(keys, axis=1, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[label.reshape(-1)]
+    sector = (rows[:, first] + cols[:, first]).sum(axis=0)
+    order = np.lexsort((first, sector))
+    return np.argsort(order)[label.reshape(-1)], np.r_[0, np.cumsum(np.bincount(sector))]
 
 
-@functools.lru_cache(maxsize=32)
 def hermitian_coordinates(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
-    """(labels, w_cols, w_coefs, e_rows, e_coefs, trace): m real coordinates
-    y of the Hermitian permutation-invariant states, as numpy index maps.
+    """(labels, starts, w_cols, w_coefs, e_rows, e_coefs, trace): m real
+    coordinates y of the Hermitian permutation-invariant states, as numpy
+    index maps, in the orbit order of :func:`orbit_labels` (labels, starts).
 
     Orbits o and t(o) hold conjugate values, so x_o = y_o when o = t(o), and
     x_o = y_o + i y_t(o) and x_t(o) = y_o - i y_t(o) when o < t(o); v = W y.
@@ -193,21 +186,18 @@ def hermitian_coordinates(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
     times -i for o < t(o), so Re(E L W) y = 0 holds the real and imaginary
     parts of the orbit equations.  The four maps hold one column per orbit:
     row k of W is w_coefs[:, o] at columns w_cols[:, o] and column k of E is
-    e_coefs[:, o] at rows e_rows[:, o] (zero: no entry), for o = labels[k] of
-    :func:`orbit_labels`, and trace = Re(vec(I)^T W).  Shared, read-only arrays.
+    e_coefs[:, o] at rows e_rows[:, o] (zero: no entry), for o = labels[k],
+    and trace = Re(vec(I)^T W).  The solve reads them from :func:`generator_parts`.
     """
-    d, labels = spec.dim, orbit_labels(spec)
-    m = int(labels.max()) + 1
+    d, (labels, starts) = spec.dim, orbit_labels(spec)
+    m = starts[-1]
     k, o = np.arange(d * d), np.arange(m)
     t = np.empty(m, dtype=np.intp)
     t[labels] = labels[(k % d) * d + k // d]
-    maps = [labels] + [np.stack(pair) for pair in (
+    return (labels, starts) + tuple(np.stack(pair) for pair in (
         (np.minimum(o, t), np.maximum(o, t)), (np.ones(m), 1j * np.sign(t - o)),
         (o, t), ((o <= t) * 1.0, np.where(o < t, -1j, 0)),
-    )] + [np.bincount(labels[:: d + 1], minlength=m).astype(float)]
-    for arr in maps:
-        arr.flags.writeable = False
-    return tuple(maps)
+    )) + (np.bincount(labels[:: d + 1], minlength=m).astype(float),)
 
 
 def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
@@ -220,10 +210,11 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     move it by one and a jump lowers bra and ket together, so in sectors
     s = k_bra + k_ket that system couples y_s only to y_{s-1} .. y_{s+2}:
     A[s, s-1] y_{s-1} + A[s, s] y_s + A[s, s+1] y_{s+1} + A[s, s+2] y_{s+2} = 0.
-    Sector 0 is the vacuum alone; its coordinate is pinned to 1 and its row,
-    the one the trace makes redundant, dropped.  A sweep down from the top
-    sector fills row sector s's four blocks only on reaching it and
-    eliminates y_s = X_s y_{s-1} with
+    In sector order (:func:`orbit_labels`), y is the y_s end to end.  Sector 0
+    is the vacuum alone; its coordinate is pinned to 1 and its row, the one
+    the trace makes redundant, dropped.  A sweep down from the top sector
+    fills row sector s's four blocks only on reaching it and eliminates
+    y_s = X_s y_{s-1} with
     X_s = -M_s^-1 A[s, s-1], M_s = A[s, s] + (A[s, s+1] + A[s, s+2] X_{s+2}) X_{s+1},
     a matrix continued fraction (Risken, The Fokker-Planck Equation, ch. 9);
     a sweep up applies the X_s, and the trace row normalizes.  Each LU factors
@@ -233,33 +224,36 @@ def solve_steady_state(lv: Liouvillian) -> DensityMatrix:
     or when the residual ||L v|| in the orbit coordinates
     (:func:`generator_parts`) exceeds RESIDUAL_RTOL * ||L||_F.
     """
-    parts, (labels, w_cols, w_coefs, _, _, trace) = lv.parts, hermitian_coordinates(lv.spec)
+    parts = lv.parts
     # 2^-e L has L's steady state and rounds nothing; with its largest weight
     # below 1, ||L||^2 and the squared residual neither overflow nor underflow.
     exp = int(np.frexp(np.abs(lv.weights).max())[1])
     weights = np.ldexp(lv.weights, -exp)
     weighted = weights @ parts.reduced
-    n, top, bounds = parts.width.tolist(), parts.width.size - 4, parts.bounds.tolist()
-    x = {top + 1: np.zeros((0, n[top + 1])), top + 2: np.zeros((0, 0))}
-    for s, ends in reversed(list(enumerate(parts.offsets.tolist()))[1:]):
-        band = np.zeros(ends[4])  # row sector s's four blocks, filled only now
+    starts, bounds = parts.starts.tolist() + [parts.trace.size] * 2, parts.bounds.tolist()
+    n, top = np.diff(starts).tolist(), parts.starts.size - 2  # sectors past top are empty
+    x = {top + 1: np.zeros((0, n[top])), top + 2: np.zeros((0, 0))}
+    for s in range(top, 0, -1):
+        lo = starts[s - 1]  # row sector s's band: columns lo .. starts[s + 3]
+        band = np.zeros(n[s] * (starts[s + 3] - lo))  # its four blocks, filled only now
         band[parts.slots[bounds[s] : bounds[s + 1]]] = weighted[bounds[s] : bounds[s + 1]]
-        a = [band[i:j].reshape(n[s + 1], n[t]) for i, j, t in zip(ends, ends[1:], range(s, s + 4))]
+        a = [band[n[s] * (starts[t] - lo) : n[s] * (starts[t + 1] - lo)].reshape(n[s], n[t])
+             for t in range(s - 1, s + 3)]
         try:
             x[s] = -np.linalg.solve(a[1] + (a[2] + a[3] @ x[s + 2]) @ x[s + 1], a[0])
         except np.linalg.LinAlgError as exc:
             raise SteadyStateError(
                 f"non-unique steady state: sector {s} of the generator is singular ({exc})"
             ) from exc
-    y, ys = np.empty(trace.size), [np.ones(1)]
+    ys = [np.ones(1)]
     for s in range(1, top + 1):
         ys.append(x[s] @ ys[-1])
-    y[parts.order] = np.concatenate(ys)
-    y /= trace @ y
-    v = (w_coefs * y[w_cols]).sum(axis=0)[labels]  # orbit values, spread to the D^2 entries
+    y = np.concatenate(ys)
+    y /= parts.trace @ y
+    v = (parts.w_coefs * y[parts.w_cols]).sum(axis=0)[parts.labels]  # spread to the D^2 entries
 
-    rows, cols = np.divmod(parts.positions, trace.size)
-    residual = np.sqrt(parts.scale @ np.bincount(rows, weighted * y[cols], trace.size) ** 2)
+    rows, cols = np.divmod(parts.positions, starts[-1])
+    residual = np.sqrt(parts.scale @ np.bincount(rows, weighted * y[cols], starts[-1]) ** 2)
     l_norm = np.sqrt(weights @ parts.gram @ weights)
     if not residual <= RESIDUAL_RTOL * l_norm:  # also rejects a NaN residual
         raise SteadyStateError(

@@ -126,7 +126,7 @@ def coordinate_matrices(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix
     """(W, E) of the Hermitian orbit coordinates as sparse matrices, built
     from the orbit labels alone: vec index k takes row labels[k] of an
     m x m map c into W and column labels[k] of a map f into E."""
-    d, labels = spec.dim, orbit_labels(spec)
+    d, (labels, _) = spec.dim, orbit_labels(spec)
     m = int(labels.max()) + 1
     k, o = np.arange(d * d), np.arange(m)
     t = np.empty(m, dtype=np.intp)

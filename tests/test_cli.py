@@ -74,6 +74,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="key=value"):
             load_config(path)
 
+    def test_repeated_key_exit_1(self, tmp_path, capsys):
+        # Neither value may win silently: the second would run at N = 2.
+        path = write_config(tmp_path, "n_modes = 1\ndelta = 35\nn_modes = 2\n")
+        with pytest.raises(ConfigError, match=r"params.cfg:3: key 'n_modes' repeats line 1"):
+            load_config(path)
+        assert main(["steady", "g2", *BASE_FLAGS[2:], "--config", path]) == 1
+        assert "key 'n_modes' repeats line 1" in capsys.readouterr().err
+
 
 class TestSteadyG2:
     def test_point_evaluation(self, capsys):

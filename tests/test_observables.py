@@ -71,6 +71,20 @@ class TestOccupationAndG2:
         with pytest.raises(UndefinedCorrelationError, match="negative"):
             blockade_metrics(rho)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_non_finite_state_raises(self, bad, level):
+        # A non-finite population must not read as a number: NaN would give
+        # g2 = NaN, which classifies as antibunching, and inf at P1 g2 = 0.
+        diag = [0.9, 0.1, 0.0]
+        diag[level] = bad
+        with np.errstate(invalid="ignore"):  # kron's inf * 0 for the excited qubit
+            rho = mode_state(diag, fock_cutoff=2)
+        with pytest.raises(UndefinedCorrelationError, match="not finite"):
+            g2_zero_delay(rho)
+        with pytest.raises(UndefinedCorrelationError, match="not finite"):
+            blockade_metrics(rho)
+
     def test_vacuum_correlation_undefined(self):
         rho = mode_state([1.0, 0.0, 0.0], fock_cutoff=2)
         with pytest.raises(UndefinedCorrelationError, match="floor"):
@@ -116,6 +130,11 @@ class TestClassification:
         with pytest.raises(ValueError, match="nonnegative"):
             classify_statistics(-0.1)
 
+    @pytest.mark.parametrize("g2", [math.nan, math.inf])
+    def test_non_finite_rejected(self, g2):
+        with pytest.raises(ValueError, match="finite"):
+            classify_statistics(g2)
+
 
 class TestBlockadeMetrics:
     def test_fields(self):
@@ -130,6 +149,11 @@ class TestBlockadeMetrics:
     def test_rejects_negative_g2(self):
         with pytest.raises(ValueError, match="nonnegative"):
             BlockadeMetrics(-1.0, 0.1, 0.1, ANTIBUNCHING, 2)
+
+    @pytest.mark.parametrize("g2", [math.nan, math.inf])
+    def test_rejects_non_finite_g2(self, g2):
+        with pytest.raises(ValueError, match="finite"):
+            BlockadeMetrics(g2, 0.1, 0.1, ANTIBUNCHING, 2)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):

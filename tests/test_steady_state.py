@@ -323,21 +323,37 @@ class TestPermutationOrbits:
         local = (cutoff + 1) ** 2
         assert count == 4 * math.comb(local + n_modes - 1, n_modes)
         spec = HilbertSpec(n_modes, cutoff)
-        labels = orbit_labels(spec)
+        labels, _ = orbit_labels(spec)
         # One label per vec index, and every orbit 0 .. count - 1 is used.
         assert labels.shape == (spec.dim**2,)
         assert np.array_equal(np.unique(labels), np.arange(count))
         # Orbit 0 is the ground-state projector alone.
         assert np.flatnonzero(labels == 0).tolist() == [0]
 
-    def test_single_mode_is_identity(self):
-        assert np.array_equal(orbit_labels(HilbertSpec(1, 4)), np.arange(100))
+    @pytest.mark.parametrize("n_modes, cutoff", [(0, 1), (1, 4), (2, 2), (3, 2)])
+    def test_orbits_are_numbered_by_sector(self, n_modes, cutoff):
+        # Sectors s = k_bra + k_ket, counted here from the basis digits,
+        # never decrease with the orbit number, and starts bounds each one.
+        spec = HilbertSpec(n_modes, cutoff)
+        labels, starts = orbit_labels(spec)
+        exc = np.indices(spec.dims).reshape(len(spec.dims), spec.dim).sum(axis=0)
+        sector = np.add.outer(exc, exc).ravel()  # symmetric, so either vec order
+        by_orbit = np.empty(starts[-1], dtype=np.intp)
+        by_orbit[labels] = sector
+        assert np.array_equal(by_orbit[labels], sector)  # one sector per orbit
+        assert np.all(np.diff(by_orbit) >= 0)
+        assert np.array_equal(starts, np.searchsorted(by_orbit, np.arange(sector.max() + 2)))
+        # Orbit 0 is the vacuum projector alone; without a second mode to
+        # swap, the labels are a permutation of the vec indices.
+        assert np.flatnonzero(labels == 0).tolist() == [0]
+        if n_modes <= 1:
+            assert np.array_equal(np.sort(labels), np.arange(spec.dim**2))
 
     def test_orbits_are_mode_swaps(self):
         # N = 2, cutoff 1: |g,1,0><g,0,1| and |g,0,1><g,1,0| swap modes and
         # share an orbit; |g,1,0><g,1,0| and |g,1,0><g,0,1| do not.
         spec = HilbertSpec(2, 1)
-        labels = orbit_labels(spec)
+        labels, _ = orbit_labels(spec)
 
         def orbit(i, j):
             return labels[i + j * spec.dim]
@@ -350,7 +366,7 @@ class TestPermutationOrbits:
 
 def transpose_partners(spec: HilbertSpec) -> np.ndarray:
     """t(o): the orbit of the transposed entries of orbit o."""
-    labels, d = orbit_labels(spec), spec.dim
+    (labels, _), d = orbit_labels(spec), spec.dim
     k = np.arange(d * d)
     partner = np.empty(labels.max() + 1, dtype=np.intp)
     partner[labels] = labels[(k % d) * d + k // d]
@@ -360,7 +376,7 @@ def transpose_partners(spec: HilbertSpec) -> np.ndarray:
 def map_matrices(spec: HilbertSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """W and E assembled from the per-orbit index maps of hermitian_coordinates,
     expanded to every vec index through the orbit labels."""
-    labels, *maps, trace = hermitian_coordinates(spec)
+    labels, _, *maps, trace = hermitian_coordinates(spec)
     w_cols, w_coefs, e_rows, e_coefs = (arr[:, labels] for arr in maps)
     n, m = labels.size, trace.size
     k = np.tile(np.arange(n), 2)
@@ -376,7 +392,7 @@ class TestHermitianCoordinates:
     def test_one_real_unknown_per_orbit(self, n_modes, cutoff):
         spec = HilbertSpec(n_modes, cutoff)
         w, e = map_matrices(spec)
-        m = orbit_labels(spec).max() + 1
+        m = orbit_labels(spec)[1][-1]
         assert w.shape == (spec.dim**2, m)
         assert e.shape == (m, spec.dim**2)
         partner = transpose_partners(spec)
@@ -417,7 +433,7 @@ class TestHermitianCoordinates:
         _, e = map_matrices(spec)
         rng = np.random.default_rng(5)
         x = rng.normal(size=spec.dim**2) + 1j * rng.normal(size=spec.dim**2)
-        labels = orbit_labels(spec)
+        labels, _ = orbit_labels(spec)
         sums = np.zeros(labels.max() + 1, dtype=complex)
         np.add.at(sums, labels, x)
         got = (e @ x).real
@@ -426,17 +442,26 @@ class TestHermitianCoordinates:
             assert got[o] == pytest.approx(want, abs=1e-14)
 
     def test_cache_survives_an_edit_of_a_result(self):
+        # The solve reads the maps from the cached parts, which every
+        # generator of the space shares.
         spec = HilbertSpec(2, 2)
-        maps = hermitian_coordinates(spec)
-        want = [arr.copy() for arr in maps]
-        for arr in maps:
+        labels, _, w_cols, w_coefs, _, _, trace = hermitian_coordinates(spec)
+        want = (labels, w_cols, w_coefs, trace)
+        maps = generator_parts(spec)[-4:]
+        for arr, ref in zip(maps, want):
+            assert np.array_equal(arr, ref)
             with pytest.raises(ValueError, match="read-only"):
                 arr *= 2
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-        hermitian_coordinates.cache_clear()
-        for got, ref in zip(hermitian_coordinates(spec), want):
+        generator_parts.cache_clear()
+        for got, ref in zip(generator_parts(spec)[-4:], want):
             assert np.array_equal(got, ref)
+
+
+#: (N, cutoff) of every space whose parts the preset sweeps and the benchmark
+#: workloads build, at either seed.
+BUILT_SPACES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
 
 
 class TestReducedParts:
@@ -482,6 +507,31 @@ class TestReducedParts:
         bound = 1e-13 * np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(parts.gram - want) <= bound)
 
+    @pytest.mark.parametrize("n_modes, cutoff", BUILT_SPACES)
+    def test_entries_lie_in_their_row_sectors_band(self, n_modes, cutoff):
+        # Row sector s's entries, bounds[s] .. bounds[s + 1], lie in column
+        # sectors s - 1 .. s + 2; read through their slots as the solve reads
+        # the four blocks, they give that row sector's band entry for entry.
+        parts = generator_parts(HilbertSpec(n_modes, cutoff))
+        starts, bounds = parts.starts, parts.bounds
+        top, m = starts.size - 2, starts[-1]
+        sector = np.repeat(np.arange(top + 1), np.diff(starts))
+        i, j = np.divmod(parts.positions, m)
+        assert np.all((sector[j] >= sector[i] - 1) & (sector[j] <= sector[i] + 2))
+        assert bounds[0] == 0 and bounds[-1] == parts.positions.size
+        for s in range(top + 1):
+            run = np.arange(bounds[s], bounds[s + 1])
+            assert np.all(sector[i[run]] == s)
+            n = starts[s + 1] - starts[s]
+            lo, hi = starts[max(s - 1, 0)], starts[min(s + 3, top + 1)]
+            dense = np.zeros((n, hi - lo))
+            dense[i[run] - starts[s], j[run] - lo] = run + 1
+            band = np.zeros(n * (hi - lo))
+            band[parts.slots[run]] = run + 1
+            blocks = [band[n * (starts[t] - lo) : n * (starts[t + 1] - lo)].reshape(n, -1)
+                      for t in range(max(s - 1, 0), min(s + 3, top + 1))]
+            assert np.array_equal(np.hstack(blocks), dense)
+
 
 def traced_peak(fn) -> int:
     """Peak bytes fn allocates on top of what was allocated before it (tracemalloc)."""
@@ -499,14 +549,13 @@ def traced_peak(fn) -> int:
 
 
 class TestMemory:
-    # N = 3, cutoff 3 (D = 128, m = 3264 coordinates); the cached orbit maps
-    # are built before tracing, so only the parts' and the solve's own work counts.
+    # N = 3, cutoff 3 (D = 128, m = 3264 coordinates).
     spec = HilbertSpec(3, 3)
 
     def test_build_stays_at_reduced_size(self):
-        # Each part is summed over orbit pairs on its own (23 MB traced);
-        # summing all six parts on their D^2 x D^2 entries first took 125 MB.
-        hermitian_coordinates(self.spec)
+        # Each part is summed over orbit pairs on its own (21 MB traced, the
+        # orbit maps included); summing all six parts on their D^2 x D^2
+        # entries first took 125 MB.
         assert traced_peak(lambda: generator_parts.__wrapped__(self.spec)) < 40e6
 
     def test_solve_fills_one_row_sector_at_a_time(self):
