@@ -45,16 +45,8 @@ class AmplitudeSet:
         return abs(self.c_g1) * abs(self.c_g1)
 
     @property
-    def p_e1(self) -> float:
-        return abs(self.c_e1) * abs(self.c_e1)
-
-    @property
     def p_g11(self) -> float:
         return abs(self.c_g11) * abs(self.c_g11)
-
-    @property
-    def p_g12(self) -> float:
-        return abs(self.c_g12) * abs(self.c_g12)
 
 
 def complex_detuning(p: ModelParams) -> complex:
@@ -102,8 +94,10 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     s = dt2 - n * jj
     pair = 2 * dt2 - (2 * jj if cross else jj)
     scale = max(abs(dt) * abs(dt), n * jj)
-    _check_denominator(s, scale, "single-excitation")
-    _check_denominator(pair, scale, "two-excitation")
+    tol = SINGULAR_RTOL * max(scale, 1e-300)  # abs(inf) > tol, so isfinite is needed too
+    if not (cmath.isfinite(s) and cmath.isfinite(pair) and abs(s) > tol and abs(pair) > tol):
+        _check_denominator(s, scale, "single-excitation")  # builds the message
+        _check_denominator(pair, scale, "two-excitation")
     c_e0 = (n * j * om - dt * oq) / s
     c_g1 = (j * oq - dt * om) / s
     source = om * c_e0 + oq * c_g1
@@ -122,12 +116,17 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
 def g2_analytic(amps: AmplitudeSet) -> float:
     """Correlation from the amplitude set, with the full two-excitation
     normalization in the denominator."""
-    p_g1 = amps.p_g1
+    m_g1 = abs(amps.c_g1)
+    p_g1 = m_g1 * m_g1
     if p_g1 == 0:
         raise ZeroDivisionError("vanishing single-excitation amplitude")
-    numerator = 2 * amps.p_g11
-    norm = p_g1 + amps.p_e1 + amps.p_g12 + numerator
-    return numerator / _check_finite("squared norm of the ansatz", norm * norm)
+    m_g11, m_e1, m_g12 = abs(amps.c_g11), abs(amps.c_e1), abs(amps.c_g12)
+    numerator = 2 * (m_g11 * m_g11)
+    norm = p_g1 + m_e1 * m_e1 + m_g12 * m_g12 + numerator
+    squared = norm * norm
+    if not math.isfinite(squared):
+        _check_finite("squared norm of the ansatz", squared)  # builds the message
+    return numerator / squared
 
 
 @dataclass(frozen=True)

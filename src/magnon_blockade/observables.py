@@ -7,6 +7,7 @@ come from mode 1's Fock populations, read off the diagonal of the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ def g2_zero_delay(rho: DensityMatrix) -> float:
 
 
 def classify_statistics(g2: float) -> str:
-    if not 0 <= g2 < np.inf:  # also rejects nan
+    if not 0 <= g2 < math.inf:  # also rejects nan
         raise ValueError(f"g2 must be finite and nonnegative, got {g2}")
     if g2 > 1.0 + POISSONIAN_BAND:
         return BUNCHING
@@ -91,7 +92,8 @@ def classify_statistics(g2: float) -> str:
 
 @dataclass(frozen=True)
 class BlockadeMetrics:
-    """Metrics of mode 1, tagged with the Fock cutoff they were computed at."""
+    """Metrics of mode 1, tagged with the Fock cutoff they were computed at;
+    construction rejects a bad g2, p1 or occupation, or a mismatched classification."""
 
     g2_zero: float
     p1: float
@@ -100,10 +102,16 @@ class BlockadeMetrics:
     n_max: int
 
     def __post_init__(self):
-        if not 0 <= self.g2_zero < np.inf:  # also rejects nan
+        if not 0 <= self.g2_zero < math.inf:  # also rejects nan
             raise ValueError(f"g2_zero must be finite and nonnegative, got {self.g2_zero}")
         if not 0.0 <= self.p1 <= 1.0 + 1e-12:
             raise ValueError(f"p1 = {self.p1} is not a probability")
+        if not 0 <= self.occupation < math.inf:
+            raise ValueError(f"occupation must be finite and nonnegative, got {self.occupation}")
+        expected = classify_statistics(self.g2_zero)
+        if self.classification != expected:
+            raise ValueError(f"classification {self.classification!r} does not match "
+                             f"g2_zero = {self.g2_zero}, which is {expected!r}")
 
 
 def blockade_metrics(rho: DensityMatrix) -> BlockadeMetrics:

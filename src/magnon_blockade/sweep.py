@@ -129,20 +129,17 @@ def analytic_g2(p: ModelParams) -> float:
 
 
 def _evaluate_point(p: ModelParams, value: float, engines: tuple[str, ...]) -> SweepRecord:
-    row = {}
+    g2_a = p1 = None
     try:
         if "analytic" in engines:
             amps = amplitudes_for(p)
-            row.update(g2_analytic=g2_analytic(amps), p1=amps.p_g1)
-        if "numeric" in engines:
-            m = blockade_metrics(converge_truncation(p))
-            row.update(g2_numeric=m.g2_zero, p1=m.p1, occupation=m.occupation,
-                       n_max=m.n_max, classification=m.classification)
-        else:
-            row["classification"] = classify_statistics(row["g2_analytic"])
+            g2_a, p1 = g2_analytic(amps), amps.p_g1
+        if "numeric" not in engines:
+            return SweepRecord(value, None, g2_a, p1, None, None, classify_statistics(g2_a))
+        m = blockade_metrics(converge_truncation(p))
+        return SweepRecord(value, m.g2_zero, g2_a, m.p1, m.occupation, m.n_max, m.classification)
     except Exception as exc:  # per-row failures must not abort the sweep
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return SweepRecord(axis_value=value, **row)
+        return SweepRecord(value, None, g2_a, p1, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:

@@ -248,6 +248,18 @@ class TestResonances:
             with pytest.raises(ValueError, match=f"^{quantity}.* is not finite"):
                 amplitudes_for(p)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("delta, name", [
+        (1.2e154, "two-excitation"),  # dt^2 finite, 2 dt^2 is inf
+        (1e160, "single-excitation"),  # dt^2 itself is inf
+    ])
+    def test_infinite_denominator_rejected(self, n, delta, name):
+        # abs(inf) exceeds any singular tolerance: the denominator must also be
+        # tested for finiteness, or the ansatz divides by inf.
+        p = ModelParams(n, delta, 1.0, 0.3, 0.1, 0.0, 0.5)
+        with pytest.raises(ValueError, match=f"^{name} denominator is not finite "):
+            amplitudes_for(p)
+
     def test_overflowing_norm_rejected(self):
         # Every |c|^2 is finite, but the squared norm of the ansatz is not.
         amps = amplitudes_for(ModelParams(1, 35.0, 35.0, 1e70, 1e70, 0.0, 0.5))

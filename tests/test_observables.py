@@ -159,6 +159,18 @@ class TestBlockadeMetrics:
         with pytest.raises(ValueError, match="probability"):
             BlockadeMetrics(0.5, 1.5, 0.1, ANTIBUNCHING, 2)
 
+    @pytest.mark.parametrize("occupation", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_occupation(self, occupation):
+        with pytest.raises(ValueError, match="occupation must be finite and nonnegative"):
+            BlockadeMetrics(0.5, 0.1, occupation, ANTIBUNCHING, 2)
+
+    @pytest.mark.parametrize("g2, classification", [
+        (0.5, BUNCHING), (0.5, POISSONIAN), (2.0, ANTIBUNCHING), (1.0, "blockade"),
+    ])
+    def test_rejects_classification_that_g2_does_not_give(self, g2, classification):
+        with pytest.raises(ValueError, match=f"classification '{classification}' does not match"):
+            BlockadeMetrics(g2, 0.1, 0.1, classification, 2)
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(

@@ -17,7 +17,7 @@ from magnon_blockade.model import (
     hamiltonian_parts,
     ladder_operators,
 )
-from magnon_blockade import steady_state
+from magnon_blockade import model, steady_state
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
 from magnon_blockade.steady_state import (
     MAX_HILBERT_DIM,
@@ -225,6 +225,28 @@ class TestBuildLiouvillian:
         for arr in parts:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 3), (2, 2), (3, 1)])
+    def test_build_makes_the_ladder_operators_once(self, n_modes, cutoff, monkeypatch):
+        # The Hamiltonian parts and the collapse operators share one
+        # ladder_operators call, and the parts are bitwise those built when
+        # hamiltonian_parts makes its own ladder operators.
+        spec, calls = HilbertSpec(n_modes, cutoff), []
+
+        def counted(s):
+            calls.append(s)
+            return ladder_operators(s)
+
+        monkeypatch.setattr(model, "ladder_operators", counted)
+        monkeypatch.setattr(steady_state, "ladder_operators", counted)
+        once = generator_parts.__wrapped__(spec)
+        assert calls == [spec]
+        monkeypatch.setattr(steady_state, "hamiltonian_parts",
+                            lambda s, ladders: hamiltonian_parts(s))
+        separate = generator_parts.__wrapped__(spec)
+        assert len(calls) == 3
+        for name, got, want in zip(once._fields, once, separate):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 class TestSolveSteadyState:
@@ -617,9 +639,9 @@ class TestSymmetricSectorOracle:
         # eps (sigma_+ m_1^dag + sigma_- m_1) moves the total excitation by
         # two, so the parts couple sectors s and s - 2, outside the band the
         # solve eliminates; the build rejects them before any point is solved.
-        def with_pair_term(spec):
-            sm, (m1, *_) = ladder_operators(spec)
-            number, *rest = hamiltonian_parts(spec)
+        def with_pair_term(spec, ladders):
+            sm, (m1, *_) = ladders
+            number, *rest = hamiltonian_parts(spec, ladders)
             return [number + 1e-3 * (sm.conj().T @ m1.conj().T + sm @ m1), *rest]
 
         monkeypatch.setattr(steady_state, "hamiltonian_parts", with_pair_term)

@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnon_blockade import sweep
-from magnon_blockade.analytic import optimal_conditions, theta_optimal_exact
+from magnon_blockade.analytic import (amplitudes_for, g2_analytic, optimal_conditions,
+                                      theta_optimal_exact)
 from magnon_blockade.model import ModelParams
+from magnon_blockade.observables import classify_statistics
 from magnon_blockade.steady_state import TruncationError
 from magnon_blockade.sweep import (
     BracketError,
+    SweepRecord,
     SweepSpec,
     apply_axis,
     find_minimum,
@@ -201,6 +206,31 @@ class TestRunSweep:
         assert ok.error is None and ok.g2_analytic > 0
         assert failed.error.startswith("ValueError: |c_e0|^2 is not finite (inf): ")
         assert failed.g2_analytic is None and failed.p1 is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_modes=st.integers(1, 3),
+    delta=st.floats(-100.0, 100.0),
+    coupling=st.floats(0.0, 50.0),
+    probe=st.floats(0.0, 1.0),
+    drive=st.floats(1e-3, 1.0),
+    decay=st.floats(0.1, 5.0),
+    grid=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_analytic_record_is_the_closed_form_chain(n_modes, delta, coupling, probe, drive,
+                                                  decay, grid):
+    # kappa >= 0.1 keeps both denominators off resonance, so every point has
+    # a g2; the record must hold exactly amplitudes_for -> g2_analytic ->
+    # classify_statistics, with nothing rounded or reordered on the way.
+    base = ModelParams(n_modes, delta, coupling, probe, drive, 0.0, decay)
+    expected = []
+    for theta in grid:
+        amps = amplitudes_for(base.with_(phase=theta))
+        g2 = g2_analytic(amps)
+        expected.append(SweepRecord(theta, None, g2, amps.p_g1, None, None,
+                                    classify_statistics(g2)))
+    assert run_sweep(SweepSpec(base, "theta", tuple(grid), ("analytic",))) == expected
 
 
 class TestMinimumSearch:
