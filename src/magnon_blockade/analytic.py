@@ -94,9 +94,11 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     s = dt2 - n * jj
     pair = 2 * dt2 - (2 * jj if cross else jj)
     scale = max(abs(dt) * abs(dt), n * jj)
-    tol = SINGULAR_RTOL * max(scale, 1e-300)  # abs(inf) > tol, so isfinite is needed too
+    # _check_denominator's rule for both at once, so that its messages are
+    # formatted only on failure; abs(inf) > tol, so isfinite is needed too.
+    tol = SINGULAR_RTOL * max(scale, 1e-300)
     if not (cmath.isfinite(s) and cmath.isfinite(pair) and abs(s) > tol and abs(pair) > tol):
-        _check_denominator(s, scale, "single-excitation")  # builds the message
+        _check_denominator(s, scale, "single-excitation")
         _check_denominator(pair, scale, "two-excitation")
     c_e0 = (n * j * om - dt * oq) / s
     c_g1 = (j * oq - dt * om) / s
@@ -123,10 +125,7 @@ def g2_analytic(amps: AmplitudeSet) -> float:
     m_g11, m_e1, m_g12 = abs(amps.c_g11), abs(amps.c_e1), abs(amps.c_g12)
     numerator = 2 * (m_g11 * m_g11)
     norm = p_g1 + m_e1 * m_e1 + m_g12 * m_g12 + numerator
-    squared = norm * norm
-    if not math.isfinite(squared):
-        _check_finite("squared norm of the ansatz", squared)  # builds the message
-    return numerator / squared
+    return numerator / _check_finite("squared norm of the ansatz", norm * norm)
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,12 @@ class ModelParams:
         return replace(self, **kwargs)
 
 
-def hamiltonian_parts(spec: HilbertSpec, ladders=None) -> list[np.ndarray]:
+def hamiltonian_parts(sm: np.ndarray, modes: list[np.ndarray]) -> list[np.ndarray]:
     """Parameter-free Hermitian terms of the Hamiltonian, in the order of
-    :func:`hamiltonian_coefficients`: the total excitation number,
+    :func:`hamiltonian_coefficients`, from the ladders of
+    :func:`ladder_operators`: the total excitation number,
     sum_j (m_j sigma_+ + m_j^dag sigma_-), sigma_+ + sigma_-,
-    -i sigma_+ + i sigma_- and sum_j (m_j + m_j^dag).  ladders, if given,
-    is ladder_operators(spec), built by the caller."""
-    sm, modes = ladders or ladder_operators(spec)
+    -i sigma_+ + i sigma_- and sum_j (m_j + m_j^dag)."""
     sp = sm.conj().T
     number, exchange, mode_drive = sp @ sm, np.zeros_like(sm), np.zeros_like(sm)
     for m in modes:

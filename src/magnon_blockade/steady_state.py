@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DensityMatrix, HilbertSpec, ModelParams, hamiltonian_coefficients,
-                    hamiltonian_parts, ladder_operators)
+from .model import (DensityMatrix, HilbertSpec, ModelParams, build_dissipators,
+                    hamiltonian_coefficients, hamiltonian_parts)
 from .observables import g2_zero_delay
 
 #: Largest Hilbert dimension D for which generator parts are built.
@@ -67,12 +67,12 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
     """The generator's parameter-free parts on spec's space, built once.
 
     Part k is -i[H_k, .] for each H_k of :func:`hamiltonian_parts`, then the
-    unit-rate dissipator of :func:`build_dissipators`' operators (one
-    :func:`ladder_operators` call serves both kinds of part); weighted by
-    :func:`hamiltonian_coefficients` and kappa, they sum to L.  One part at a
-    time, the entries of its Kronecker terms f kron(a, b) are summed by orbit
-    pair, and reduced[k] = Re(E L_k W) is kept at the ascending flat indices
-    positions of the m x m orbit system where some part is nonzero.
+    unit-rate dissipator of :func:`build_dissipators`, whose ladders the
+    Hamiltonian parts reuse; weighted by :func:`hamiltonian_coefficients` and
+    kappa, they sum to L.  One part at a time, the entries of its Kronecker
+    terms f kron(a, b) are summed by orbit pair, and reduced[k] = Re(E L_k W)
+    is kept at the ascending flat indices positions of the m x m orbit system
+    where some part is nonzero.
     gram[k, l] = Re tr(L_k^dag L_l), from tr(kron(a, b)^dag kron(c, e)) =
     tr(a^dag c) tr(b^dag e), gives ||L||_F^2 = w^T gram w.  Every part
     commutes with mode exchange and preserves Hermiticity, so L W y = W z
@@ -87,9 +87,9 @@ def generator_parts(spec: HilbertSpec) -> GeneratorParts:
     d, eye, sums = spec.dim, np.eye(spec.dim), []
     labels, starts, w_cols, w_coefs, e_rows, e_coefs, trace = hermitian_coordinates(spec)
     m, grid = trace.size, labels.reshape(d, d)
-    sm, modes = ladders = ladder_operators(spec)
-    parts = [[(-1j, eye, h), (1j, h.T, eye)] for h in hamiltonian_parts(spec, ladders)] + [[]]
-    for o in [sm, *modes]:  # unit rate; f kron(a, b), as in the module docstring
+    sm, *modes = ops = build_dissipators(spec)
+    parts = [[(-1j, eye, h), (1j, h.T, eye)] for h in hamiltonian_parts(sm, modes)] + [[]]
+    for o in ops:  # unit rate; f kron(a, b), as in the module docstring
         odo = o.conj().T @ o
         parts[-1] += [(1.0, o.conj(), o), (-0.5, eye, odo), (-0.5, odo.T, eye)]
     fs, a_s, b_s = zip(*(term for part in parts for term in part))

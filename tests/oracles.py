@@ -31,6 +31,7 @@ from magnon_blockade.model import (
     build_dissipators,
     hamiltonian_coefficients,
     hamiltonian_parts,
+    ladder_operators,
 )
 from magnon_blockade.steady_state import (
     Liouvillian,
@@ -76,7 +77,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> np.ndarray:
 def build_effective_hamiltonian(p: ModelParams) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven qubit + N-mode system, as one
     dense matrix: the parts of `hamiltonian_parts` at p's weights."""
-    parts = hamiltonian_parts(p.hilbert_spec())
+    parts = hamiltonian_parts(*ladder_operators(p.hilbert_spec()))
     return sum(c * h for c, h in zip(hamiltonian_coefficients(p), parts))
 
 
@@ -100,8 +101,9 @@ def sparse_generator(lv: Liouvillian) -> sp.csr_matrix:
     """lv's full D^2 x D^2 generator, assembled by :func:`sparse_liouvillian`
     from the model's operators at lv's weights; lv's cached parts are not read."""
     *coefficients, decay = lv.weights
-    h = sum(c * part for c, part in zip(coefficients, hamiltonian_parts(lv.spec)))
-    return sparse_liouvillian(h, [(o, decay) for o in build_dissipators(lv.spec)])
+    sm, *modes = ops = build_dissipators(lv.spec)
+    h = sum(c * part for c, part in zip(coefficients, hamiltonian_parts(sm, modes)))
+    return sparse_liouvillian(h, [(o, decay) for o in ops])
 
 
 def sparse_liouvillian(
@@ -337,7 +339,7 @@ def single_excitation_energies(p: ModelParams) -> np.ndarray:
     """
     q = p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1)
     h = build_effective_hamiltonian(q)
-    one = np.isclose(np.diag(hamiltonian_parts(q.hilbert_spec())[0]).real, 1.0)
+    one = np.isclose(np.diag(hamiltonian_parts(*ladder_operators(q.hilbert_spec()))[0]).real, 1.0)
     block = h[np.ix_(one, one)]
     return np.linalg.eigvalsh(block)
 
