@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .model import ModelParams
 
 #: Relative size below which a resonance denominator is treated as singular.
 SINGULAR_RTOL = 1e-12
+SQRT2 = math.sqrt(2)
 
 
 class ResonanceError(ZeroDivisionError):
     """A closed-form denominator vanished at a resonance condition."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AmplitudeSet:
     """Steady amplitudes of the two-excitation ansatz, vacuum-normalized.
 
@@ -105,9 +107,10 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     source = om * c_e0 + oq * c_g1
     c_e1 = ((2 * j if cross else j) * om * c_g1 - dt * source) / pair
     u = (2 * dt * om * c_g1 - j * source) / pair  # (om c_g1 + j c_e1) / dt
-    c_g11 = -u / math.sqrt(2)
+    c_g11 = -u / SQRT2
     c_g12 = -u if cross else 0j
-    m_e0, m_g1, m_e1, m_g11, m_g12 = moduli = tuple(map(abs, (c_e0, c_g1, c_e1, c_g11, c_g12)))
+    moduli = abs(c_e0), abs(c_g1), abs(c_e1), abs(c_g11), abs(c_g12)
+    m_e0, m_g1, m_e1, m_g11, m_g12 = moduli
     if not math.isfinite(m_e0 * m_e0 + m_g1 * m_g1 + m_e1 * m_e1 + m_g11 * m_g11 + m_g12 * m_g12):
         for name, m in zip(("c_e0", "c_g1", "c_e1", "c_g11", "c_g12"), moduli):
             _check_finite(f"|{name}|^2", m * m)
@@ -151,12 +154,14 @@ class OptimalConditions:
 
 def theta_optimal_exact(n_modes: int, r: float) -> float:
     """theta*(N, r) = theta_1(r / sqrt(N)): a stationary phase, not the argmin
-    of g2; see :class:`OptimalConditions`.  Raises ValueError for N < 1 and
-    for r that is not finite and positive or whose (r / sqrt(N))**2 overflows."""
+    of g2; see :class:`OptimalConditions`.  Raises ValueError for N that is not
+    an integer >= 1, and for r not finite and positive or whose (r / sqrt(N))**2 overflows."""
     return optimal_conditions(n_modes, r).theta_exact
 
 
 def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
+    if not isinstance(n_modes, numbers.Integral):
+        raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     if not math.isfinite(r):

@@ -66,7 +66,7 @@ class SweepSpec:
         object.__setattr__(self, "points", tuple(points))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRecord:
     axis_value: float
     g2_numeric: float | None = None

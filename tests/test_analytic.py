@@ -372,6 +372,8 @@ class TestOptimalConditions:
     def test_conditions_validation(self):
         for n, r, message in (
             (0, 0.1, "n_modes must be at least 1"),
+            (2.5, 0.1, "n_modes must be an integer, got 2.5"),
+            (2.0, 0.1, "n_modes must be an integer, got 2.0"),
             (1, 0.0, "r must be positive"),
             (3, -0.5, "r must be positive"),
             (3, math.nan, "r must be finite, got nan"),
@@ -380,3 +382,5 @@ class TestOptimalConditions:
             for func in (optimal_conditions, theta_optimal_exact):
                 with pytest.raises(ValueError, match=message):
                     func(n, r)
+        # N is checked as HilbertSpec checks it: NumPy integers pass.
+        assert optimal_conditions(np.int64(2), 0.1) == optimal_conditions(2, 0.1)

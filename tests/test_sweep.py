@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -231,6 +232,21 @@ def test_analytic_record_is_the_closed_form_chain(n_modes, delta, coupling, prob
         expected.append(SweepRecord(theta, None, g2, amps.p_g1, None, None,
                                     classify_statistics(g2)))
     assert run_sweep(SweepSpec(base, "theta", tuple(grid), ("analytic",))) == expected
+
+
+def test_records_are_value_objects():
+    # The per-point records are compared by value, and dataclasses.replace
+    # gives an edited copy (the benchmark's corrupt mode perturbs records so).
+    rec = run_sweep(SweepSpec(fig2_params(), "theta", (0.0, 0.01), ("analytic",)))[1]
+    assert rec == SweepRecord(0.01, None, rec.g2_analytic, rec.p1, None, None, rec.classification)
+    edited = dataclasses.replace(rec, g2_analytic=0.5 * rec.g2_analytic)
+    assert edited != rec and edited.g2_analytic == 0.5 * rec.g2_analytic
+    assert edited.axis_value == rec.axis_value and edited.p1 == rec.p1
+    amps = amplitudes_for(fig2_params(phase=0.01))
+    assert amps == amplitudes_for(fig2_params(phase=0.01))
+    zeroed = dataclasses.replace(amps, c_g11=0j)
+    assert zeroed != amps and zeroed.c_g11 == 0 and amps.c_g11 != 0
+    assert (zeroed.c_g1, zeroed.weak_drive_certified) == (amps.c_g1, amps.weak_drive_certified)
 
 
 class TestMinimumSearch:
