@@ -14,7 +14,7 @@ from .analytic import (
     optimal_conditions,
     theta_optimal_exact,
 )
-from .model import DensityMatrix, HilbertSpec, ModelParams, build_dissipators
+from .model import DensityMatrix, HilbertSpec, ModelParams
 from .observables import (
     BlockadeMetrics,
     blockade_metrics,
@@ -48,7 +48,6 @@ __all__ = [
     "SweepSpec",
     "amplitudes_for",
     "blockade_metrics",
-    "build_dissipators",
     "build_liouvillian",
     "classify_statistics",
     "converge_truncation",

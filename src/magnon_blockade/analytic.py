@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, check_integer
 
 #: Relative size below which a resonance denominator is treated as singular.
 SINGULAR_RTOL = 1e-12
@@ -160,10 +159,7 @@ def theta_optimal_exact(n_modes: int, r: float) -> float:
 
 
 def optimal_conditions(n_modes: int, r: float) -> OptimalConditions:
-    if not isinstance(n_modes, numbers.Integral):
-        raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
+    check_integer("n_modes", n_modes, 1)
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     if r <= 0:

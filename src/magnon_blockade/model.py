@@ -17,23 +17,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+def check_integer(name: str, value, minimum: int):
+    """Raise ValueError naming name unless value is an integer of at least
+    minimum.  NumPy integers pass; a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+
+
 @dataclass(frozen=True)
 class HilbertSpec:
     """Dimensions of the composite qubit + N-mode space.  Both fields must be
-    integers (NumPy's too); a Fock cutoff below 1 leaves no mode an
+    integers (:func:`check_integer`); a Fock cutoff below 1 leaves no mode an
     excitation sector and is rejected."""
 
     n_modes: int
     fock_cutoff: int
 
     def __post_init__(self):
-        for name in ("n_modes", "fock_cutoff"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_modes < 0:
-            raise ValueError("n_modes must be nonnegative")
-        if self.fock_cutoff < 1:
-            raise ValueError("fock_cutoff must be at least 1: cutoff 0 has no excitation sector")
+        check_integer("n_modes", self.n_modes, 0)
+        check_integer("fock_cutoff", self.fock_cutoff, 1)
 
     @property
     def local_dim(self) -> int:
@@ -63,8 +67,9 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def ladder_operators(spec: HilbertSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Full-space lowering operators: sigma_minus and [m_1, ..., m_N].
+def ladder_operators(spec: HilbertSpec) -> list[np.ndarray]:
+    """Full-space lowering operators [sigma_minus, m_1, ..., m_N], which are
+    also the collapse operators; each decays at rate kappa.
 
     Each site's operator is the ladder sqrt(n) |n-1><n| on its own factor
     (on the qubit that is |g><e|), in a Kronecker product with identities
@@ -74,7 +79,7 @@ def ladder_operators(spec: HilbertSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     for d, site in zip(spec.dims, digits):
         stride //= d  # the basis index moves by stride when this site's digit does
         ops.append(np.diag(np.sqrt(site[stride:]).astype(complex), k=stride))
-    return ops[0], ops[1:]
+    return ops
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,7 @@ class ModelParams:
     fock_cutoff: int = 4
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
+        check_integer("n_modes", self.n_modes, 1)
         for name in ("delta", "coupling", "probe_rabi", "drive_rabi", "phase", "decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -105,7 +109,7 @@ class ModelParams:
             raise ValueError("decay must be positive (no steady state otherwise)")
         if self.coupling < 0 or self.probe_rabi < 0 or self.drive_rabi < 0:
             raise ValueError("coupling and drive amplitudes must be nonnegative")
-        self.hilbert_spec()  # rejects a Fock cutoff below 1 and a non-integer field
+        self.hilbert_spec()  # rejects a Fock cutoff below 1 or not an integer
 
     def hilbert_spec(self) -> HilbertSpec:
         return HilbertSpec(self.n_modes, self.fock_cutoff)
@@ -114,12 +118,13 @@ class ModelParams:
         return replace(self, **kwargs)
 
 
-def hamiltonian_parts(sm: np.ndarray, modes: list[np.ndarray]) -> list[np.ndarray]:
+def hamiltonian_parts(ops: list[np.ndarray]) -> list[np.ndarray]:
     """Parameter-free Hermitian terms of the Hamiltonian, in the order of
-    :func:`hamiltonian_coefficients`, from the ladders of
-    :func:`ladder_operators`: the total excitation number,
+    :func:`hamiltonian_coefficients`, from the ladders [sigma_minus, m_1,
+    ..., m_N] of :func:`ladder_operators`: the total excitation number,
     sum_j (m_j sigma_+ + m_j^dag sigma_-), sigma_+ + sigma_-,
     -i sigma_+ + i sigma_- and sum_j (m_j + m_j^dag)."""
+    sm, *modes = ops
     sp = sm.conj().T
     number, exchange, mode_drive = sp @ sm, np.zeros_like(sm), np.zeros_like(sm)
     for m in modes:
@@ -134,9 +139,3 @@ def hamiltonian_coefficients(p: ModelParams) -> tuple[float, ...]:
     Omega_q sin theta, Omega_m)."""
     q = p.probe_rabi
     return (p.delta, p.coupling, q * math.cos(p.phase), q * math.sin(p.phase), p.drive_rabi)
-
-
-def build_dissipators(spec: HilbertSpec) -> list[np.ndarray]:
-    """Collapse operators [sigma_minus, m_1, ..., m_N]; each decays at rate kappa."""
-    sm, modes = ladder_operators(spec)
-    return [sm] + modes

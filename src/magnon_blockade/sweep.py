@@ -17,7 +17,15 @@ from .model import ModelParams
 from .observables import blockade_metrics, classify_statistics, g2_zero_delay
 from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
 
-AXES = ("delta_over_j", "probe_over_drive", "theta", "drive_rabi", "kappa")
+#: Each sweep axis: the ModelParams field its grid value sets and, for a
+#: ratio axis, the field that the grid value multiplies (None otherwise).
+AXES = {
+    "delta_over_j": ("delta", "coupling"),
+    "probe_over_drive": ("probe_rabi", "drive_rabi"),
+    "theta": ("phase", None),
+    "drive_rabi": ("drive_rabi", None),
+    "kappa": ("decay", None),
+}
 ENGINES = ("numeric", "analytic")
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
@@ -41,12 +49,9 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}; choose from {AXES}")
+            raise ValueError(f"unknown axis {self.axis!r}; choose from {tuple(AXES)}")
         if not self.grid:
             raise ValueError("grid must be nonempty")
-        diffs = np.diff(self.grid)
-        if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("grid must be strictly monotone")
         bad = set(self.engines) - set(ENGINES)
         if bad or not self.engines:
             raise ValueError(f"engines must be a nonempty subset of {ENGINES}")
@@ -63,6 +68,9 @@ class SweepSpec:
             except ValueError as exc:
                 with_tracks = "" if tracks is None else f" with probe_tracks_drive = {tracks}"
                 raise ValueError(f"grid point {self.axis} = {v}{with_tracks}: {exc}") from exc
+        diffs = np.diff(self.grid)  # checked after the points, so a nan is named there
+        if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "points", tuple(points))
 
 
@@ -98,25 +106,18 @@ def apply_axis(
     value: float,
     probe_tracks_drive: float | None = None,
 ) -> ModelParams:
-    """Parameter set at one grid point of the given axis.  A ratio axis
-    raises ValueError when its reference field is zero."""
-    reference = {"delta_over_j": "coupling", "probe_over_drive": "drive_rabi"}.get(axis)
-    if reference and getattr(base, reference) == 0:
-        raise ValueError(f"the {axis} axis is a ratio to {reference}, which is 0")
-    if axis == "delta_over_j":
-        return base.with_(delta=value * base.coupling)
-    if axis == "probe_over_drive":
-        return base.with_(probe_rabi=value * base.drive_rabi)
-    if axis == "theta":
-        return base.with_(phase=value)
-    if axis == "drive_rabi":
-        p = base.with_(drive_rabi=value)
-        if probe_tracks_drive is not None:
-            p = p.with_(probe_rabi=probe_tracks_drive * value)
-        return p
-    if axis == "kappa":
-        return base.with_(decay=value)
-    raise ValueError(f"unknown axis {axis!r}")
+    """Parameter set at one grid point of the given axis, as :data:`AXES` maps
+    it.  A ratio axis raises ValueError when its reference field is zero;
+    probe_tracks_drive sets the probe after the axis field."""
+    field_name, reference = AXES[axis]
+    if reference:
+        if getattr(base, reference) == 0:
+            raise ValueError(f"the {axis} axis is a ratio to {reference}, which is 0")
+        value = value * getattr(base, reference)
+    p = base.with_(**{field_name: value})
+    if probe_tracks_drive is not None:
+        p = p.with_(probe_rabi=probe_tracks_drive * value)
+    return p
 
 
 def numeric_g2(p: ModelParams) -> float:

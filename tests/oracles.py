@@ -28,7 +28,6 @@ from magnon_blockade.model import (
     DensityMatrix,
     HilbertSpec,
     ModelParams,
-    build_dissipators,
     hamiltonian_coefficients,
     hamiltonian_parts,
     ladder_operators,
@@ -77,7 +76,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> np.ndarray:
 def build_effective_hamiltonian(p: ModelParams) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven qubit + N-mode system, as one
     dense matrix: the parts of `hamiltonian_parts` at p's weights."""
-    parts = hamiltonian_parts(*ladder_operators(p.hilbert_spec()))
+    parts = hamiltonian_parts(ladder_operators(p.hilbert_spec()))
     return sum(c * h for c, h in zip(hamiltonian_coefficients(p), parts))
 
 
@@ -101,8 +100,8 @@ def sparse_generator(lv: Liouvillian) -> sp.csr_matrix:
     """lv's full D^2 x D^2 generator, assembled by :func:`sparse_liouvillian`
     from the model's operators at lv's weights; lv's cached parts are not read."""
     *coefficients, decay = lv.weights
-    sm, *modes = ops = build_dissipators(lv.spec)
-    h = sum(c * part for c, part in zip(coefficients, hamiltonian_parts(sm, modes)))
+    ops = ladder_operators(lv.spec)
+    h = sum(c * part for c, part in zip(coefficients, hamiltonian_parts(ops)))
     return sparse_liouvillian(h, [(o, decay) for o in ops])
 
 
@@ -339,7 +338,7 @@ def single_excitation_energies(p: ModelParams) -> np.ndarray:
     """
     q = p.with_(probe_rabi=0.0, drive_rabi=0.0, fock_cutoff=1)
     h = build_effective_hamiltonian(q)
-    one = np.isclose(np.diag(hamiltonian_parts(*ladder_operators(q.hilbert_spec()))[0]).real, 1.0)
+    one = np.isclose(np.diag(hamiltonian_parts(ladder_operators(q.hilbert_spec()))[0]).real, 1.0)
     block = h[np.ix_(one, one)]
     return np.linalg.eigvalsh(block)
 

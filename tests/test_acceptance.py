@@ -365,7 +365,7 @@ def test_criterion_9_property_suite():
 
     # Truncated-ladder commutator identity.
     for n_max in (1, 2, 4):
-        (a,) = ladder_operators(HilbertSpec(1, n_max))[1]
+        _, a = ladder_operators(HilbertSpec(1, n_max))
         comm = a @ a.conj().T - a.conj().T @ a
         local = np.eye(n_max + 1, dtype=complex)
         local[n_max, n_max] = -n_max

@@ -374,6 +374,7 @@ class TestOptimalConditions:
             (0, 0.1, "n_modes must be at least 1"),
             (2.5, 0.1, "n_modes must be an integer, got 2.5"),
             (2.0, 0.1, "n_modes must be an integer, got 2.0"),
+            (True, 0.1, "n_modes must be an integer, got True"),
             (1, 0.0, "r must be positive"),
             (3, -0.5, "r must be positive"),
             (3, math.nan, "r must be finite, got nan"),

@@ -254,25 +254,25 @@ class TestSweepCommand:
 
     def test_grid_out_of_range_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # kappa = 1, 0, -1: the second point has no steady state, so the
-        # sweep must stop before it solves the first.
+        # sweep must stop before it solves the first; a nan start is named as such.
         solves = []
         real = sweep.converge_truncation
         monkeypatch.setattr(sweep, "converge_truncation", lambda p: solves.append(p) or real(p))
         out = tmp_path / "k.csv"
-        args = [
-            "sweep", *BASE_FLAGS,
-            "--axis", "kappa",
-            "--grid-start", "1",
-            "--grid-stop", "-1",
-            "--grid-points", "3",
-            "--output", str(out),
-        ]
-        assert main(args) == 1
-        assert solves == []
-        assert not out.exists()
-        assert "configuration error: grid point kappa = 0.0: decay must be positive" in (
-            capsys.readouterr().err
-        )
+        for start, message in (("1", "grid point kappa = 0.0: decay must be positive"),
+                               ("nan", "grid point kappa = nan: decay must be finite")):
+            args = [
+                "sweep", *BASE_FLAGS,
+                "--axis", "kappa",
+                "--grid-start", start,
+                "--grid-stop", "-1",
+                "--grid-points", "3",
+                "--output", str(out),
+            ]
+            assert main(args) == 1
+            assert solves == []
+            assert not out.exists()
+            assert f"configuration error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tracks", ["-1", "nan"])
     def test_bad_probe_tracking_names_flag_exit_1(self, tracks, capsys, monkeypatch):
@@ -532,15 +532,14 @@ class TestImportSurface:
         assert sorted(magnon_blockade.__all__) == [
             "AmplitudeSet", "BlockadeMetrics", "DensityMatrix", "HilbertSpec",
             "Liouvillian", "ModelParams", "OptimalConditions", "SweepRecord",
-            "SweepSpec", "amplitudes_for", "blockade_metrics", "build_dissipators",
-            "build_liouvillian", "classify_statistics", "converge_truncation",
-            "find_minimum", "g2_analytic", "g2_zero_delay", "optimal_conditions",
-            "preset_sweeps", "run_sweep", "solve_steady_state",
-            "theta_optimal_exact", "verify_scaling",
+            "SweepSpec", "amplitudes_for", "blockade_metrics", "build_liouvillian",
+            "classify_statistics", "converge_truncation", "find_minimum", "g2_analytic",
+            "g2_zero_delay", "optimal_conditions", "preset_sweeps", "run_sweep",
+            "solve_steady_state", "theta_optimal_exact", "verify_scaling",
         ]
         assert all(callable(getattr(magnon_blockade, name)) for name in magnon_blockade.__all__)
         for name in ("embed", "partial_trace", "fock_annihilation", "qubit_lowering",
-                     "mode_annihilation", "qubit_sigma_minus"):
+                     "mode_annihilation", "qubit_sigma_minus", "build_dissipators"):
             assert not hasattr(magnon_blockade.model, name)
         assert not hasattr(magnon_blockade.model, "build_effective_hamiltonian")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from magnon_blockade.model import HilbertSpec, ModelParams, build_dissipators, ladder_operators
+from magnon_blockade.model import HilbertSpec, ModelParams, ladder_operators
 from magnon_blockade.steady_state import build_liouvillian, generator_parts
 from oracles import build_effective_hamiltonian, single_excitation_energies
 
@@ -44,16 +44,19 @@ class TestModelParams:
             fig2_params().with_(**{field: value})
 
     def test_rejects_zero_cutoff(self):
-        with pytest.raises(ValueError, match="^fock_cutoff .*no excitation sector"):
+        with pytest.raises(ValueError, match="^fock_cutoff must be at least 1$"):
             ModelParams(1, 1.0, 1.0, 0.1, 0.1, 0.0, 1.0, fock_cutoff=0)
 
     @pytest.mark.parametrize(
-        "field, value", [("n_modes", 1.5), ("n_modes", 2.0), ("fock_cutoff", 2.5),
-                         ("fock_cutoff", 2.0), ("fock_cutoff", "2")],
+        "field, value", [("n_modes", 1.5), ("n_modes", 2.0), ("n_modes", 0.5),
+                         ("n_modes", True), ("fock_cutoff", 2.5), ("fock_cutoff", 2.0),
+                         ("fock_cutoff", "2"), ("fock_cutoff", True)],
     )
     def test_rejects_non_integer_fields(self, field, value):
-        # Checked for every ModelParams by its HilbertSpec, before N or the
-        # cutoff reaches an engine; N = 1.5 would scale J by sqrt(1.5).
+        # Checked for every ModelParams and HilbertSpec before N or the cutoff
+        # reaches an engine; N = 1.5 would scale J by sqrt(1.5), and N = 0.5
+        # is named for the integer rule, not for being below 1.  A bool is
+        # not an integer here, so True never passes as N = 1 or cutoff 1.
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             fig2_params().with_(**{field: value})
         spec = {"n_modes": 1, "fock_cutoff": 2, field: value}
@@ -93,7 +96,7 @@ class TestEffectiveHamiltonian:
     def test_matches_operator_formula(self):
         p = ModelParams(2, 3.0, 1.5, 0.2, 0.4, 0.7, 1.0, fock_cutoff=2)
         spec = p.hilbert_spec()
-        sm, modes = ladder_operators(spec)
+        sm, *modes = ladder_operators(spec)
         sp_ = sm.conj().T
         expected = p.delta * (sp_ @ sm)
         expected = expected + p.probe_rabi * (
@@ -117,14 +120,14 @@ class TestDissipators:
     def test_channel_count_and_rates(self):
         p = ModelParams(3, 1.0, 1.0, 0.1, 0.1, 0.0, 0.7, fock_cutoff=1)
         spec = p.hilbert_spec()
-        channels = [(o, p.decay) for o in build_dissipators(spec)]
+        channels = [(o, p.decay) for o in ladder_operators(spec)]
         assert len(channels) == 4
         assert all(o.shape == (spec.dim, spec.dim) and rate == 0.7 for o, rate in channels)
 
     def test_channel_operators(self):
         p = fig2_params(fock_cutoff=2)
         spec = p.hilbert_spec()
-        channels = [(o, p.decay) for o in build_dissipators(spec)]
+        channels = [(o, p.decay) for o in ladder_operators(spec)]
         # sigma_minus (x) I_3 and I_2 (x) a at cutoff 2.
         a = np.diag(np.sqrt([1.0, 2.0]), k=1)
         assert np.array_equal(channels[0][0], np.kron([[0, 1], [0, 0]], np.eye(3)))

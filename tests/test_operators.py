@@ -9,7 +9,7 @@ SIGMA_MINUS = np.array([[0, 1], [0, 0]], complex)
 
 def mode_ladder(n_max: int) -> np.ndarray:
     """Mode 1's lowering operator at cutoff n_max, from a one-mode space."""
-    return ladder_operators(HilbertSpec(n_modes=1, fock_cutoff=n_max))[1][0]
+    return ladder_operators(HilbertSpec(n_modes=1, fock_cutoff=n_max))[1]
 
 
 class TestLadderOperators:
@@ -30,7 +30,7 @@ class TestLadderOperators:
 
     def test_zero_cutoff_rejected(self):
         # The space itself refuses cutoff 0, so no operator is ever built on it.
-        with pytest.raises(ValueError, match="^fock_cutoff .*no excitation sector"):
+        with pytest.raises(ValueError, match="^fock_cutoff must be at least 1$"):
             HilbertSpec(n_modes=1, fock_cutoff=0)
 
     def test_truncated_commutator_identity(self):
@@ -49,23 +49,23 @@ class TestQubitOperators:
     spec = HilbertSpec(n_modes=0, fock_cutoff=1)
 
     def test_lowering_matrix(self):
-        sm, modes = ladder_operators(self.spec)
+        sm, *modes = ladder_operators(self.spec)
         assert np.array_equal(sm, SIGMA_MINUS)
         assert modes == []
 
     def test_population_projector(self):
-        sm, _ = ladder_operators(self.spec)
+        (sm,) = ladder_operators(self.spec)
         assert np.allclose(sm.conj().T @ sm, np.diag([0, 1]))
 
     def test_action_on_basis(self):
-        sm, _ = ladder_operators(self.spec)
+        (sm,) = ladder_operators(self.spec)
         g = np.array([1, 0], complex)
         e = np.array([0, 1], complex)
         assert np.array_equal(sm @ e, g)
         assert np.array_equal(sm @ g, np.zeros(2))
 
     def test_nilpotent(self):
-        sm, _ = ladder_operators(self.spec)
+        (sm,) = ladder_operators(self.spec)
         assert np.array_equal(sm @ sm, np.zeros((2, 2)))
 
 
@@ -82,8 +82,7 @@ class TestEmbed:
 
     def test_distinct_sites_commute(self):
         spec = HilbertSpec(n_modes=3, fock_cutoff=2)
-        sm, modes = ladder_operators(spec)
-        ops = [sm] + modes
+        ops = ladder_operators(spec)
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
                 assert np.array_equal(a @ b, b @ a)
@@ -92,13 +91,13 @@ class TestEmbed:
     def test_trace_scaling(self):
         # tr(m_j^dag m_j) = (0 + 1 + 2 + 3) times the dimension of the other sites.
         spec = HilbertSpec(n_modes=2, fock_cutoff=3)
-        _, modes = ladder_operators(spec)
+        _, *modes = ladder_operators(spec)
         for m in modes:
             assert np.isclose(np.trace(m.conj().T @ m), 6 * spec.dim // 4)
 
     def test_norm_preserved(self):
         spec = HilbertSpec(n_modes=2, fock_cutoff=3)
-        sm, modes = ladder_operators(spec)
+        sm, *modes = ladder_operators(spec)
         assert np.isclose(np.linalg.norm(sm, 2), 1.0)
         for m in modes:
             assert np.isclose(np.linalg.norm(m, 2), np.sqrt(3))
@@ -177,7 +176,7 @@ class TestDensityMatrixValidation:
 def test_ladder_operators_match_kron_chain():
     # sigma_minus (x) I (x) I and I_2 (x) a (x) I, I_2 (x) I (x) a, bit for bit.
     spec = HilbertSpec(n_modes=2, fock_cutoff=2)
-    sm, (m1, m2) = ladder_operators(spec)
+    sm, m1, m2 = ladder_operators(spec)
     a, eye = np.diag(np.sqrt([1.0, 2.0]), k=1), np.eye(3)
     assert sm.dtype == m1.dtype == m2.dtype == complex
     assert np.array_equal(sm, np.kron(np.kron(SIGMA_MINUS, eye), eye))

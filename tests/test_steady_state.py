@@ -13,7 +13,6 @@ from magnon_blockade.model import (
     DensityMatrix,
     HilbertSpec,
     ModelParams,
-    build_dissipators,
     hamiltonian_parts,
     ladder_operators,
 )
@@ -55,7 +54,7 @@ def fig2_params(drive=0.05, phase=0.0, fock_cutoff=2):
 def explicit_generator(p: ModelParams) -> sp.csr_matrix:
     """p's generator from H written out term by term plus explicit channels,
     assembled by the scipy oracle."""
-    sm, modes = ladder_operators(p.hilbert_spec())
+    sm, *modes = ladder_operators(p.hilbert_spec())
     sp_ = sm.conj().T
     h = p.delta * (sp_ @ sm) + p.probe_rabi * (
         np.exp(-1j * p.phase) * sp_ + np.exp(1j * p.phase) * sm
@@ -228,9 +227,9 @@ class TestBuildLiouvillian:
 
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 3), (2, 2), (3, 1)])
     def test_build_makes_the_ladder_operators_once(self, n_modes, cutoff, monkeypatch):
-        # The Hamiltonian parts reuse the collapse operators' ladders, one
-        # ladder_operators call per build, and the parts are bitwise those
-        # built when the Hamiltonian parts get ladders of their own.
+        # The Hamiltonian parts and the dissipator share one ladder_operators
+        # call per build, and the parts are bitwise those built when the
+        # Hamiltonian parts get ladders of their own.
         spec, calls = HilbertSpec(n_modes, cutoff), []
 
         def counted(s):
@@ -238,11 +237,11 @@ class TestBuildLiouvillian:
             return ladder_operators(s)
 
         monkeypatch.setattr(model, "ladder_operators", counted)
-        monkeypatch.setattr(steady_state, "ladder_operators", counted, raising=False)
+        monkeypatch.setattr(steady_state, "ladder_operators", counted)
         once = generator_parts.__wrapped__(spec)
         assert calls == [spec]
         monkeypatch.setattr(steady_state, "hamiltonian_parts",
-                            lambda sm, modes: hamiltonian_parts(*counted(spec)))
+                            lambda ops: hamiltonian_parts(counted(spec)))
         separate = generator_parts.__wrapped__(spec)
         assert len(calls) == 3
         for name, got, want in zip(once._fields, once, separate):
@@ -639,9 +638,9 @@ class TestSymmetricSectorOracle:
         # eps (sigma_+ m_1^dag + sigma_- m_1) moves the total excitation by
         # two, so the parts couple sectors s and s - 2, outside the band the
         # solve eliminates; the build rejects them before any point is solved.
-        def with_pair_term(sm, modes):
-            m1 = modes[0]
-            number, *rest = hamiltonian_parts(sm, modes)
+        def with_pair_term(ops):
+            sm, m1 = ops[:2]
+            number, *rest = hamiltonian_parts(ops)
             return [number + 1e-3 * (sm.conj().T @ m1.conj().T + sm @ m1), *rest]
 
         monkeypatch.setattr(steady_state, "hamiltonian_parts", with_pair_term)
@@ -661,8 +660,9 @@ def permute_modes(rho: np.ndarray, spec: HilbertSpec, perm: tuple[int, ...]) -> 
 def model_parts(spec: HilbertSpec) -> list[sp.csr_matrix]:
     """The six generator parts of spec's space, assembled by the scipy oracle."""
     zero = np.zeros((spec.dim, spec.dim))
-    return [sparse_liouvillian(h, []) for h in hamiltonian_parts(*ladder_operators(spec))] + [
-        sparse_liouvillian(zero, [(o, 1.0) for o in build_dissipators(spec)])
+    ops = ladder_operators(spec)
+    return [sparse_liouvillian(h, []) for h in hamiltonian_parts(ops)] + [
+        sparse_liouvillian(zero, [(o, 1.0) for o in ops])
     ]
 
 

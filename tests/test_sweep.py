@@ -58,8 +58,11 @@ class TestSweepSpec:
     def test_grid_point_out_of_range_named(self):
         with pytest.raises(ValueError, match=r"^grid point kappa = 0\.0: decay must be positive"):
             SweepSpec(fig2_params(), "kappa", (1.0, 0.0, -1.0))
-        with pytest.raises(ValueError, match=r"^grid point theta = nan: phase must be finite"):
-            SweepSpec(fig2_params(), "theta", (math.nan,))
+        # Each point is checked before the grid's order, so a nan is named as
+        # itself in a grid of any length, not as a break in monotonicity.
+        for grid in ((math.nan,), (0.0, math.nan), (math.nan, 0.01, 0.02)):
+            with pytest.raises(ValueError, match=r"^grid point theta = nan: phase must be finite"):
+                SweepSpec(fig2_params(), "theta", grid)
 
     @pytest.mark.parametrize("tracks, cause", [(-3.0, "nonnegative"), (math.nan, "finite")])
     def test_bad_probe_tracking_named(self, tracks, cause):
@@ -262,6 +265,20 @@ class TestMinimumSearch:
         assert abs(argmin - theta_optimal_exact(1, 1 / 70)) < 1e-4
         assert minimum > 0
 
+    def test_numeric_search_evaluates_through_the_module_attribute(self, monkeypatch):
+        # A wrapper around sweep.numeric_g2 sees every evaluation of a numeric
+        # search (one solve each), scan and refinement alike; the benchmark
+        # times the search's evaluations so.
+        seen, solves = [], []
+        real_g2, real_solve = sweep.numeric_g2, sweep.solve_steady_state
+        monkeypatch.setattr(sweep, "numeric_g2", lambda p: seen.append(real_g2(p)) or seen[-1])
+        monkeypatch.setattr(sweep, "solve_steady_state",
+                            lambda lv: solves.append(lv) or real_solve(lv))
+        argmin, minimum = find_minimum(fig2_params(drive=0.001), "theta", (0.0, 0.02),
+                                       n_scan=9, rel_tol=1e-3)
+        assert len(seen) == len(solves) > 9
+        assert minimum in seen and 0.0 < argmin < 0.02
+
     def test_edge_minimum_raises(self):
         with pytest.raises(BracketError, match="interior"):
             find_minimum(
@@ -290,8 +307,9 @@ class TestMinimumSearch:
     @pytest.mark.parametrize(
         "bracket, message",
         [((1.0, -1.0), r"^grid point kappa = 0\.0: decay must be positive"),
-         ((0.01, 0.01), "strictly monotone")],
-        ids=["kappa-through-zero", "degenerate"],
+         ((0.01, 0.01), "strictly monotone"),
+         ((math.nan, 1.0), r"^grid point kappa = nan: decay must be finite")],
+        ids=["kappa-through-zero", "degenerate", "nan"],
     )
     @pytest.mark.parametrize("engine", sweep.ENGINES)
     def test_scan_checked_before_any_evaluation(self, bracket, message, engine, monkeypatch):
