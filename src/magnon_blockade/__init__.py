@@ -10,7 +10,6 @@ from .analytic import (
     AmplitudeSet,
     OptimalConditions,
     amplitudes_for,
-    g2_analytic,
     optimal_conditions,
     theta_optimal_exact,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "classify_statistics",
     "converge_truncation",
     "find_minimum",
-    "g2_analytic",
     "g2_zero_delay",
     "optimal_conditions",
     "preset_sweeps",

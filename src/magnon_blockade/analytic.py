@@ -26,24 +26,26 @@ class ResonanceError(ZeroDivisionError):
 
 @dataclass(slots=True)
 class AmplitudeSet:
-    """Steady amplitudes of the two-excitation ansatz, vacuum-normalized.
+    """Steady amplitudes of the two-excitation ansatz, vacuum-normalized,
+    and the observables that :func:`amplitudes_for` reads off them.
 
     c_g1 is the single excitation of mode 1; c_g11 holds two quanta in
     mode 1; c_g12 holds one quantum each in modes 1 and 2 (zero for N = 1,
     and dropped by the general-N weak-drive approximation); c_e1 is the
-    qubit excited with one quantum in mode 1.
+    qubit excited with one quantum in mode 1.  p_g1 = |c_g1|^2 is P1;
+    g2 = 2 |c_g11|^2 / norm^2, with the full two-excitation norm
+    |c_g1|^2 + |c_e1|^2 + |c_g12|^2 + 2 |c_g11|^2; weak_drive_certified
+    records whether the hierarchy |c_g1| > 10 max(|c_e1|, |c_g11|, |c_g12|) holds.
     """
 
     c_e0: complex
     c_g1: complex
     c_e1: complex
     c_g11: complex
-    c_g12: complex = 0.0 + 0.0j
-    weak_drive_certified: bool = True
-
-    @property
-    def p_g1(self) -> float:
-        return abs(self.c_g1) * abs(self.c_g1)
+    c_g12: complex
+    p_g1: float
+    g2: float
+    weak_drive_certified: bool
 
     @property
     def p_g11(self) -> float:
@@ -60,29 +62,29 @@ def _check_denominator(value: complex, scale: float, name: str):
         raise ResonanceError(f"singular denominator at the {name} resonance")
 
 
-def _check_finite(name: str, value: complex) -> complex:
+def _check_finite(name: str, value: complex):
     if not cmath.isfinite(value):
         raise ValueError(f"{name} is not finite ({value}): the ansatz overflows")
-    return value
 
 
 def amplitudes_for(p: ModelParams) -> AmplitudeSet:
-    """Steady amplitudes of the symmetric two-excitation ansatz for N modes.
+    """Steady amplitudes of the symmetric two-excitation ansatz for N modes,
+    with P1 = |c_g1|^2 and g2 read off them: the analytic engine's one call.
 
     Solves the truncated non-Hermitian steady equations, in which N enters
     only through the couplings N J (vacuum to single excitation) and
     (N - 1) J (qubit excitation to the cross state).  The cross amplitude
     c_g12 is kept at N = 2, where the ansatz is then exact; at N >= 3 it is
     dropped, which is the paper's general-N weak-drive form.
-    weak_drive_certified records whether the hierarchy
-    |c_g1| >> |c_e1|, |c_g11|, |c_g12| actually holds.
 
     The block lower-triangular equations are eliminated in closed form: with
     dt = Delta - i kappa / 2 and x = 1 at N = 2 (else 0), only
     s = dt^2 - N J^2 and p = 2 dt^2 - (1 + x) J^2 divide (the determinant
-    is 4 dt s p, or 2 s p without c_g12).  Raises ResonanceError when s or p
-    vanishes relative to max(|dt|^2, N J^2), and ValueError naming a
-    denominator or |c|^2 that is not finite.
+    is 4 dt s p, or 2 s p without c_g12).  Raises, in this order:
+    ResonanceError when s or p vanishes relative to max(|dt|^2, N J^2);
+    ValueError naming a denominator or |c|^2 that is not finite;
+    ZeroDivisionError when c_g1 vanishes, so g2 is undefined; and
+    ValueError when the squared norm of the ansatz is not finite.
     """
     n = p.n_modes
     j, om = float(p.coupling), float(p.drive_rabi)
@@ -108,26 +110,23 @@ def amplitudes_for(p: ModelParams) -> AmplitudeSet:
     u = (2 * dt * om * c_g1 - j * source) / pair  # (om c_g1 + j c_e1) / dt
     c_g11 = -u / SQRT2
     c_g12 = -u if cross else 0j
-    moduli = abs(c_e0), abs(c_g1), abs(c_e1), abs(c_g11), abs(c_g12)
-    m_e0, m_g1, m_e1, m_g11, m_g12 = moduli
-    if not math.isfinite(m_e0 * m_e0 + m_g1 * m_g1 + m_e1 * m_e1 + m_g11 * m_g11 + m_g12 * m_g12):
-        for name, m in zip(("c_e0", "c_g1", "c_e1", "c_g11", "c_g12"), moduli):
-            _check_finite(f"|{name}|^2", m * m)
-    certified = m_g1 > 10 * max(m_e1, m_g11, m_g12)
-    return AmplitudeSet(c_e0, c_g1, c_e1, c_g11, c_g12, certified)
-
-
-def g2_analytic(amps: AmplitudeSet) -> float:
-    """Correlation from the amplitude set, with the full two-excitation
-    normalization in the denominator."""
-    m_g1 = abs(amps.c_g1)
-    p_g1 = m_g1 * m_g1
-    if p_g1 == 0:
-        raise ZeroDivisionError("vanishing single-excitation amplitude")
-    m_g11, m_e1, m_g12 = abs(amps.c_g11), abs(amps.c_e1), abs(amps.c_g12)
-    numerator = 2 * (m_g11 * m_g11)
-    norm = p_g1 + m_e1 * m_e1 + m_g12 * m_g12 + numerator
-    return numerator / _check_finite("squared norm of the ansatz", norm * norm)
+    m_e0, m_g1, m_e1, m_g11, m_g12 = abs(c_e0), abs(c_g1), abs(c_e1), abs(c_g11), abs(c_g12)
+    p_e0, p_g1, p_e1, p_g11, p_g12 = (
+        m_e0 * m_e0, m_g1 * m_g1, m_e1 * m_e1, m_g11 * m_g11, m_g12 * m_g12)
+    numerator = 2 * p_g11
+    norm = p_g1 + p_e1 + p_g12 + numerator
+    norm_sq = norm * norm
+    # One guard for the checks below, so that their messages are formatted
+    # only on failure: p_e0 + norm_sq is finite only if every |c|^2 is.
+    if not (math.isfinite(p_e0 + norm_sq) and p_g1):
+        for name, square in zip(("c_e0", "c_g1", "c_e1", "c_g11", "c_g12"),
+                                (p_e0, p_g1, p_e1, p_g11, p_g12)):
+            _check_finite(f"|{name}|^2", square)
+        if p_g1 == 0:
+            raise ZeroDivisionError("vanishing single-excitation amplitude")
+        _check_finite("squared norm of the ansatz", norm_sq)
+    certified = m_g1 > 10 * m_e1 and m_g1 > 10 * m_g11 and m_g1 > 10 * m_g12
+    return AmplitudeSet(c_e0, c_g1, c_e1, c_g11, c_g12, p_g1, numerator / norm_sq, certified)
 
 
 @dataclass(frozen=True)

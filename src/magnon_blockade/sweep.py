@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import amplitudes_for, g2_analytic, optimal_conditions
+from .analytic import amplitudes_for, optimal_conditions
 from .model import ModelParams
 from .observables import blockade_metrics, classify_statistics, g2_zero_delay
 from .steady_state import build_liouvillian, converge_truncation, solve_steady_state
@@ -126,7 +126,7 @@ def numeric_g2(p: ModelParams) -> float:
 
 
 def analytic_g2(p: ModelParams) -> float:
-    return g2_analytic(amplitudes_for(p))
+    return amplitudes_for(p).g2
 
 
 def _evaluate_point(p: ModelParams, value: float, engines: tuple[str, ...]) -> SweepRecord:
@@ -134,7 +134,7 @@ def _evaluate_point(p: ModelParams, value: float, engines: tuple[str, ...]) -> S
     try:
         if "analytic" in engines:
             amps = amplitudes_for(p)
-            g2_a, p1 = g2_analytic(amps), amps.p_g1
+            g2_a, p1 = amps.g2, amps.p_g1
         if "numeric" not in engines:
             return SweepRecord(value, None, g2_a, p1, None, None, classify_statistics(g2_a))
         m = blockade_metrics(converge_truncation(p))

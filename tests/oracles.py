@@ -5,12 +5,12 @@ generator as a scipy sparse matrix (built from the operators, given
 outright or at a :class:`Liouvillian`'s weights), the sparse W and E of
 the Hermitian orbit coordinates and the reduced system Re(E L W), the
 generator's trace preservation, time evolution as the check of the direct
-solve, the two-excitation ansatz as a linear system and the paper's
-closed-form probabilities as the checks of the closed-form amplitudes, the
-one-excitation spectrum, the reduced state of one subsystem and
-a per-mode occupation for states that need not be mode-symmetric, the
-dense Hamiltonian of one point, and the bright-mode map that reduces N
-modes to one.
+solve, the two-excitation ansatz as a linear system, its g2 from the
+amplitudes alone, and the paper's closed-form probabilities as the checks
+of the closed-form amplitudes, the one-excitation spectrum, the reduced
+state of one subsystem and a per-mode occupation for states that need not
+be mode-symmetric, the dense Hamiltonian of one point, and the bright-mode
+map that reduces N modes to one.
 """
 
 from __future__ import annotations
@@ -240,6 +240,17 @@ def ansatz_system(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     ).reshape(5, 5)[:size, :size]
     rhs = np.array([-oq, -om, 0, 0, 0][:size], dtype=complex)
     return mat, rhs
+
+
+def ansatz_g2(c_g1: complex, c_e1: complex, c_g11: complex, c_g12: complex) -> float:
+    """g2 of the ansatz from its amplitudes alone: 2 |c_g11|^2 over the
+    squared full two-excitation norm |c_g1|^2 + |c_e1|^2 + |c_g12|^2 + 2 |c_g11|^2,
+    in the operation order of :func:`magnon_blockade.analytic.amplitudes_for`,
+    so the two agree bit for bit."""
+    m_g1, m_e1, m_g11, m_g12 = abs(c_g1), abs(c_e1), abs(c_g11), abs(c_g12)
+    numerator = 2 * (m_g11 * m_g11)
+    norm = m_g1 * m_g1 + m_e1 * m_e1 + m_g12 * m_g12 + numerator
+    return numerator / (norm * norm)
 
 
 @dataclass(frozen=True)

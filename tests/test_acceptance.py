@@ -10,11 +10,7 @@ import math
 
 import numpy as np
 
-from magnon_blockade.analytic import (
-    amplitudes_for,
-    g2_analytic,
-    theta_optimal_exact,
-)
+from magnon_blockade.analytic import amplitudes_for, theta_optimal_exact
 from magnon_blockade.model import DensityMatrix, HilbertSpec, ModelParams, ladder_operators
 from magnon_blockade.observables import blockade_metrics, g2_zero_delay
 from magnon_blockade.steady_state import (
@@ -334,7 +330,7 @@ def test_criterion_9_property_suite():
     def log_gap(p):
         rho = solve_steady_state(build_liouvillian(p))
         numeric = g2_zero_delay(rho)
-        analytic = g2_analytic(amplitudes_for(p))
+        analytic = amplitudes_for(p).g2
         return abs(math.log10(numeric) - math.log10(analytic))
 
     # theta / pi on multiples of 5e-4, the published sampling resolution;

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from magnon_blockade.analytic import (
     SINGULAR_RTOL,
-    AmplitudeSet,
     ResonanceError,
     amplitudes_for,
     complex_detuning,
-    g2_analytic,
     optimal_conditions,
     theta_optimal_exact,
 )
 from magnon_blockade.model import ModelParams
-from oracles import ansatz_system, closed_form_probabilities, intermediates
+from oracles import ansatz_g2, ansatz_system, closed_form_probabilities, intermediates
 
 
 def random_params(rng, n_modes):
@@ -104,6 +102,36 @@ def test_closed_form_solves_the_ansatz_system(
     assert np.linalg.norm(c - solved) <= 1e-12 * np.linalg.norm(solved)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_modes=st.integers(1, 3),
+    coupling=st.floats(5.0, 40.0),
+    detuning_over_j=st.floats(-3.0, 3.0),
+    probe=st.floats(0.0, 1.0),
+    drive=st.floats(1e-4, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+    decay=st.floats(0.05, 5.0),
+)
+@example(n_modes=1, coupling=35.0, detuning_over_j=1.0, probe=0.003, drive=0.001,
+         phase=theta_optimal_exact(1, 1 / 70), decay=0.5)
+@example(n_modes=2, coupling=20.0, detuning_over_j=math.sqrt(2), probe=3e-3 * math.sqrt(2),
+         drive=0.001, phase=theta_optimal_exact(2, 0.025), decay=0.5)
+def test_one_call_reads_g2_and_p1_off_its_amplitudes(
+    n_modes, coupling, detuning_over_j, probe, drive, phase, decay
+):
+    # amplitudes_for returns P1 and g2 with the amplitudes; each must be
+    # exactly the formula of the amplitudes it returns, bit for bit, and the
+    # certificate exactly |c_g1| > 10 max(|c_e1|, |c_g11|, |c_g12|).
+    p = ModelParams(n_modes, detuning_over_j * coupling, coupling, probe, drive, phase, decay)
+    amps = amplitudes_for(p)
+    m_g1 = abs(amps.c_g1)
+    assert amps.p_g1 == m_g1 * m_g1
+    assert amps.g2 == ansatz_g2(amps.c_g1, amps.c_e1, amps.c_g11, amps.c_g12)
+    assert type(amps.p_g1) is float and type(amps.g2) is float
+    assert amps.weak_drive_certified == (
+        m_g1 > 10 * max(abs(amps.c_e1), abs(amps.c_g11), abs(amps.c_g12)))
+
+
 class TestLinearSolveVsClosedForms:
     def test_single_mode_probabilities_match(self):
         rng = np.random.default_rng(21)
@@ -179,15 +207,15 @@ class TestG2Ratio:
         amps = amplitudes_for(p)
         leading = 2 * amps.p_g11 / amps.p_g1**2
         assert amps.weak_drive_certified
-        assert g2_analytic(amps) == pytest.approx(leading, rel=1e-3)
+        assert amps.g2 == pytest.approx(leading, rel=1e-3)
 
     def test_vanishing_single_excitation_rejected(self):
         p = ModelParams(1, 5.0, 5.0, 1.0, 0.0, 0.0, 0.5)
         # probe = 5 * drive with delta = J makes c_g1 = 0 only for a tuned
         # combination; instead force it via drive_rabi = probe_rabi = 0.
         p = p.with_(probe_rabi=0.0, drive_rabi=0.0)
-        with pytest.raises(ZeroDivisionError):
-            g2_analytic(amplitudes_for(p))
+        with pytest.raises(ZeroDivisionError, match="^vanishing single-excitation amplitude$"):
+            amplitudes_for(p)
 
     def test_results_are_builtin_floats(self):
         # Parameters taken from numpy arrays still give builtin numbers.
@@ -196,7 +224,7 @@ class TestG2Ratio:
             p = optimal_params(n, coupling, decay, drive, theta)
             amps = amplitudes_for(p)
             assert type(amps.p_g1) is float and type(amps.c_g1) is complex
-            assert type(g2_analytic(amps)) is float
+            assert type(amps.g2) is float
 
     def test_dispatch_by_mode_count(self):
         # The cross amplitude exists only in the two-mode solve.
@@ -236,14 +264,18 @@ class TestResonances:
                         math.isfinite(abs(c))
                         for c in (amps.c_e0, amps.c_g1, amps.c_e1, amps.c_g11, amps.c_g12)
                     )
-                    assert math.isfinite(g2_analytic(amps))
+                    assert math.isfinite(amps.g2)
 
     def test_non_finite_amplitudes_rejected(self):
         # The drives overflow |c_e0|^2 at N = 2; the detuning and the
         # coupling overflow the single-excitation denominator dt^2 - N J^2.
+        # Drives that are powers of two with N J om = Delta oq keep c_e0
+        # finite while |c_g1| ~ 2^660, whose square overflows to inf (named,
+        # not a bare OverflowError).
         for p, quantity in (
             (ModelParams(2, 20.0, 20.0, 1e300, 1e300, 0.01, 0.5), r"\|c_e0\|\^2"),
             (ModelParams(1, 1e160, 1e160, 0.3, 0.1, 0.0, 0.5), "single-excitation denominator"),
+            (ModelParams(1, 2.0, 1.0, 2.0**659, 2.0**660, 0.0, 2.0**-660), r"\|c_g1\|\^2"),
         ):
             with pytest.raises(ValueError, match=f"^{quantity}.* is not finite"):
                 amplitudes_for(p)
@@ -261,19 +293,13 @@ class TestResonances:
             amplitudes_for(p)
 
     def test_overflowing_norm_rejected(self):
-        # Every |c|^2 is finite, but the squared norm of the ansatz is not.
-        amps = amplitudes_for(ModelParams(1, 35.0, 35.0, 1e70, 1e70, 0.0, 0.5))
-        assert math.isfinite(amps.p_g11)
-        with pytest.raises(ValueError, match="squared norm of the ansatz is not finite"):
-            g2_analytic(amps)
-
-    def test_overflowing_hand_built_set_rejected(self):
-        # |c_g1|^2 overflows to inf rather than raising a bare OverflowError,
-        # so the squared norm names the failure.
-        amps = AmplitudeSet(0j, 1e200 + 0j, 0j, 0j)
-        assert amps.p_g1 == math.inf
-        with pytest.raises(ValueError, match="squared norm of the ansatz is not finite"):
-            g2_analytic(amps)
+        # Every |c|^2 is finite (about 1e273 at most), but the squared norm of
+        # the ansatz is not; the |c|^2 checks run first, so only this one fires.
+        p = ModelParams(1, 35.0, 35.0, 1e70, 1e70, 0.0, 0.5)
+        mat, rhs = ansatz_system(p)
+        assert np.all(np.isfinite(np.abs(np.linalg.solve(mat, rhs)) ** 2))
+        with pytest.raises(ValueError, match="^squared norm of the ansatz is not finite"):
+            amplitudes_for(p)
 
     def test_closed_form_rejects_three_modes(self):
         p = optimal_params(3, 20.0, 0.5, 0.001, theta=0.005)
@@ -330,11 +356,7 @@ class TestOptimalConditions:
             theta_star = theta_optimal_exact(n, r)
             thetas = np.linspace(0.5 * theta_star, 1.5 * theta_star, 2001)
             values = [
-                g2_analytic(
-                    amplitudes_for(
-                        optimal_params(n, coupling, decay, 0.001, theta=t)
-                    )
-                )
+                amplitudes_for(optimal_params(n, coupling, decay, 0.001, theta=t)).g2
                 for t in thetas
             ]
             argmin = thetas[int(np.argmin(values))]

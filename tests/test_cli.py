@@ -533,7 +533,7 @@ class TestImportSurface:
             "AmplitudeSet", "BlockadeMetrics", "DensityMatrix", "HilbertSpec",
             "Liouvillian", "ModelParams", "OptimalConditions", "SweepRecord",
             "SweepSpec", "amplitudes_for", "blockade_metrics", "build_liouvillian",
-            "classify_statistics", "converge_truncation", "find_minimum", "g2_analytic",
+            "classify_statistics", "converge_truncation", "find_minimum",
             "g2_zero_delay", "optimal_conditions", "preset_sweeps", "run_sweep",
             "solve_steady_state", "theta_optimal_exact", "verify_scaling",
         ]

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnon_blockade import sweep
-from magnon_blockade.analytic import (amplitudes_for, g2_analytic, optimal_conditions,
-                                      theta_optimal_exact)
+from magnon_blockade.analytic import amplitudes_for, optimal_conditions, theta_optimal_exact
 from magnon_blockade.model import ModelParams
 from magnon_blockade.observables import classify_statistics
 from magnon_blockade.steady_state import TruncationError
@@ -225,15 +224,14 @@ class TestRunSweep:
 def test_analytic_record_is_the_closed_form_chain(n_modes, delta, coupling, probe, drive,
                                                   decay, grid):
     # kappa >= 0.1 keeps both denominators off resonance, so every point has
-    # a g2; the record must hold exactly amplitudes_for -> g2_analytic ->
-    # classify_statistics, with nothing rounded or reordered on the way.
+    # a g2; the record must carry exactly amplitudes_for's g2 and p_g1 and
+    # classify_statistics of that g2, with nothing rounded or reordered on the way.
     base = ModelParams(n_modes, delta, coupling, probe, drive, 0.0, decay)
     expected = []
     for theta in grid:
         amps = amplitudes_for(base.with_(phase=theta))
-        g2 = g2_analytic(amps)
-        expected.append(SweepRecord(theta, None, g2, amps.p_g1, None, None,
-                                    classify_statistics(g2)))
+        expected.append(SweepRecord(theta, None, amps.g2, amps.p_g1, None, None,
+                                    classify_statistics(amps.g2)))
     assert run_sweep(SweepSpec(base, "theta", tuple(grid), ("analytic",))) == expected
 
 
