@@ -269,16 +269,25 @@ class TestResonances:
     def test_non_finite_amplitudes_rejected(self):
         # The drives overflow |c_e0|^2 at N = 2; the detuning and the
         # coupling overflow the single-excitation denominator dt^2 - N J^2.
-        # Drives that are powers of two with N J om = Delta oq keep c_e0
-        # finite while |c_g1| ~ 2^660, whose square overflows to inf (named,
-        # not a bare OverflowError).
         for p, quantity in (
             (ModelParams(2, 20.0, 20.0, 1e300, 1e300, 0.01, 0.5), r"\|c_e0\|\^2"),
             (ModelParams(1, 1e160, 1e160, 0.3, 0.1, 0.0, 0.5), "single-excitation denominator"),
-            (ModelParams(1, 2.0, 1.0, 2.0**659, 2.0**660, 0.0, 2.0**-660), r"\|c_g1\|\^2"),
         ):
             with pytest.raises(ValueError, match=f"^{quantity}.* is not finite"):
                 amplitudes_for(p)
+
+    def test_overflowing_hand_built_set_rejected(self):
+        # Drives hand-picked as powers of two with N J om = Delta oq build a
+        # set whose c_e0 and |c_g1| ~ 2^660 are finite but |c_g1|^2 overflows
+        # to inf; the failure is named, not a bare OverflowError.
+        p = ModelParams(1, 2.0, 1.0, 2.0**659, 2.0**660, 0.0, 2.0**-660)
+        mat, rhs = ansatz_system(p)
+        c_e0, c_g1 = np.linalg.solve(mat[:2, :2], rhs[:2])
+        m_g1 = abs(complex(c_g1))
+        assert math.isfinite(abs(complex(c_e0)) ** 2) and math.isfinite(m_g1)
+        assert m_g1 * m_g1 == math.inf
+        with pytest.raises(ValueError, match=r"^\|c_g1\|\^2 is not finite"):
+            amplitudes_for(p)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("delta, name", [
